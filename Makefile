@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build check test bench bench-quick bench-smoke bench-udp bench-serve bench-hostile perf-smoke secure-smoke udp-smoke serve-smoke hostile-smoke soak soak-smoke udp-soak examples cli clean outputs
+.PHONY: all build check test perfbench-check bench bench-quick bench-smoke bench-udp bench-serve bench-hostile perf-smoke secure-smoke udp-smoke serve-smoke hostile-smoke soak soak-smoke udp-soak examples cli clean outputs
 
 all: build
 
@@ -9,14 +9,21 @@ all: build
 # quota), the fused AEAD record-layer gate (E20), the real-socket
 # loopback self-test with its zero-allocation gate (E16), the sharded
 # many-session engine self-test on both backends (E17), and the
-# adversarial-ingress self-test under byzantine load (E18).
-check: test perf-smoke secure-smoke udp-smoke serve-smoke hostile-smoke
+# adversarial-ingress self-test under byzantine load (E18), and the
+# smoke pass of the end-to-end benchmark (perfbench/).
+check: test perf-smoke secure-smoke udp-smoke serve-smoke hostile-smoke perfbench-check
 
 build:
 	dune build @all
 
 test:
 	dune runtest
+
+# The end-to-end benchmark's smoke mode (a few seconds): every workload
+# at a tiny size, traced and untraced, must emit every metric
+# BENCHMARK.json names, and the transfer must repeat exactly per seed.
+perfbench-check:
+	python3 perfbench/run.py --check
 
 # All eleven experiments (DESIGN.md section 3 / EXPERIMENTS.md).
 bench:

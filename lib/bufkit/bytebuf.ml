@@ -57,6 +57,8 @@ let set_uint8 t i v =
 let unsafe_get t i = Bytes.unsafe_get t.data (t.off + i)
 let unsafe_set t i c = Bytes.unsafe_set t.data (t.off + i) c
 let backing t = (t.data, t.off, t.len)
+let storage t = t.data
+let offset t = t.off
 
 let blit ~src ~src_pos ~dst ~dst_pos ~len =
   check_range src src_pos len "Bytebuf.blit (src)";

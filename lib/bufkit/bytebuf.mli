@@ -75,6 +75,14 @@ val backing : t -> Bytes.t * int * int
     Intended for fused inner loops (see [Alf_core.Kernels]) that need direct
     [Bytes] access after a single up-front bounds check. *)
 
+val storage : t -> Bytes.t
+(** [storage t] is the first component of {!backing}, without building
+    the tuple: per-datagram paths use it with {!offset} so that reaching
+    the raw bytes allocates nothing. *)
+
+val offset : t -> int
+(** [offset t] is the second component of {!backing}. *)
+
 (** {1 Bulk operations} *)
 
 val blit : src:t -> src_pos:int -> dst:t -> dst_pos:int -> len:int -> unit

@@ -2,8 +2,16 @@
 
     End systems that run manipulation loops at line rate cannot afford an
     allocation per packet; a pool recycles same-sized buffers through a
-    free list and keeps occupancy statistics so benchmarks can report
+    free stack and keeps occupancy statistics so benchmarks can report
     allocation behaviour alongside throughput.
+
+    {!acquire}, {!try_acquire} and {!release} cost O(1) whatever the
+    number of idle buffers: the free stack is an array sized to
+    [capacity] at {!create}, and each buffer the pool makes carries a
+    hidden tag just past its visible bytes that says which pool made it
+    and whether it is on that pool's free stack. In steady state a
+    release allocates nothing and a {!try_acquire} allocates only its
+    [Some] cell.
 
     Domain-safe: acquire/release/stats serialize on an internal mutex, so
     worker domains can share one pool without two of them being handed
@@ -48,9 +56,16 @@ val release : t -> Bytebuf.t -> unit
     the buffer is already sitting in the free list (double release — the
     alias would corrupt data for two later acquirers), or if there are no
     outstanding buffers at all. [stats.outstanding] therefore never goes
-    negative. The check is best-effort: a double release of a buffer the
-    pool dropped at capacity, or a release of a foreign same-sized buffer
-    while others are outstanding, cannot be told apart from legal use. *)
+    negative.
+
+    The first check is exact: a buffer is in the free list only if this
+    pool made it, and its tag says so. A foreign buffer of the right size
+    (one this pool did not make) is accepted and counted as a release,
+    but never kept in the free list, so it can never be handed out by
+    {!acquire} and never make a later release look like a double one.
+    What cannot be told apart from legal use is a second release of a
+    buffer that is not in the free list: one the pool dropped at
+    [capacity], or a foreign one, while others are outstanding. *)
 
 val stats : t -> stats
 val pp_stats : Format.formatter -> stats -> unit

@@ -64,6 +64,58 @@ type outq_item = {
 
 let no_release = ignore
 
+(* A registry metric bound to its name once per endpoint. The name is
+   looked up on the first bump only, so the registry ends up holding
+   exactly the names it would if every bump still looked its name up;
+   later bumps pay no registry mutex, closure or string hash. Two domains
+   racing a first bump both get the registry's one instance. *)
+type 'a handle = { name : string; find : string -> 'a; mutable bound : 'a option }
+
+let counter name = { name; find = (fun n -> Obs.Registry.counter n); bound = None }
+let gauge name = { name; find = (fun n -> Obs.Registry.gauge n); bound = None }
+
+let get h =
+  match h.bound with
+  | Some m -> m
+  | None ->
+      let m = h.find h.name in
+      h.bound <- Some m;
+      m
+
+let bump h = Obs.Counter.incr (get h)
+let bump_by h n = Obs.Counter.add (get h) n
+
+type sender_metrics = {
+  m_adus_sent : Obs.Counter.t handle;
+  m_bytes_sent : Obs.Counter.t handle;
+  m_store_peak : Obs.Gauge.t handle;
+  m_nacks_received : Obs.Counter.t handle;
+  m_nack_backoff_resets : Obs.Counter.t handle;
+  m_fec_activated : Obs.Counter.t handle;
+  m_retransmits : Obs.Counter.t handle;
+  m_bytes_retransmitted : Obs.Counter.t handle;
+  m_adus_gone : Obs.Counter.t handle;
+  m_close_gave_up : Obs.Counter.t handle;
+  m_ctl_corrupt_dropped : Obs.Counter.t handle;
+  m_killed : Obs.Counter.t handle;
+}
+
+let sender_metrics () =
+  {
+    m_adus_sent = counter "alf.sender.adus_sent";
+    m_bytes_sent = counter "alf.sender.bytes_sent";
+    m_store_peak = gauge "alf.sender.store_peak_bytes";
+    m_nacks_received = counter "alf.sender.nacks_received";
+    m_nack_backoff_resets = counter "alf.sender.nack_backoff_resets";
+    m_fec_activated = counter "alf.sender.fec_activated";
+    m_retransmits = counter "alf.sender.retransmits";
+    m_bytes_retransmitted = counter "alf.sender.bytes_retransmitted";
+    m_adus_gone = counter "alf.sender.adus_gone";
+    m_close_gave_up = counter "alf.sender.close_gave_up";
+    m_ctl_corrupt_dropped = counter "alf.sender.ctl_corrupt_dropped";
+    m_killed = counter "alf.sender.killed";
+  }
+
 type sender = {
   sched : Rt.Sched.t;
   io : Dgram.t;
@@ -74,6 +126,7 @@ type sender = {
   store : Recovery.store;
   config : sender_config;
   stats : sender_stats;
+  m : sender_metrics;
   s_secure : Secure.Record.t option;  (* AEAD record layer, when keyed *)
   tx_pool : Pool.t option;  (* pooled datagrams for the fused send path *)
   outq : outq_item Queue.t;
@@ -242,19 +295,18 @@ let send_gone s indices =
           Hashtbl.replace s.gone_announced i ())
         fresh;
       s.stats.adus_gone <- s.stats.adus_gone + List.length fresh;
-      Obs.Counter.add (Obs.Registry.counter "alf.sender.adus_gone")
-        (List.length fresh);
+      bump_by s.m.m_adus_gone (List.length fresh);
       push_datagram s (Ctl.build_gone ~stream:s.stream indices)
 
 let handle_nack s ~have_below ~indices =
   s.stats.nacks_received <- s.stats.nacks_received + 1;
-  Obs.Counter.incr (Obs.Registry.counter "alf.sender.nacks_received");
+  bump s.m.m_nacks_received;
   (* Evidence the receiver is alive: CLOSE announcements can return to
      their base cadence. *)
   if s.close_shift > 0 then begin
     s.close_shift <- 0;
     s.stats.nack_backoff_resets <- s.stats.nack_backoff_resets + 1;
-    Obs.Counter.incr (Obs.Registry.counter "alf.sender.nack_backoff_resets")
+    bump s.m.m_nack_backoff_resets
   end;
   Recovery.release_below s.store have_below;
   (* The NACK volume against what is still outstanding is a (noisy) loss
@@ -270,7 +322,7 @@ let handle_nack s ~have_below ~indices =
     s.fec_on <- true;
     strace s "loss estimate %.2f >= %.2f: enabling FEC (k=%d)" s.loss_ewma
       s.config.fec_loss_threshold s.config.fec_k;
-    Obs.Counter.incr (Obs.Registry.counter "alf.sender.fec_activated")
+    bump s.m.m_fec_activated
   end;
   let gone = ref [] in
   List.iter
@@ -285,10 +337,8 @@ let handle_nack s ~have_below ~indices =
             s.stats.adus_retransmitted <- s.stats.adus_retransmitted + 1;
             s.stats.bytes_retransmitted <-
               s.stats.bytes_retransmitted + Bytebuf.length encoded;
-            Obs.Counter.incr (Obs.Registry.counter "alf.sender.retransmits");
-            Obs.Counter.add
-              (Obs.Registry.counter "alf.sender.bytes_retransmitted")
-              (Bytebuf.length encoded);
+            bump s.m.m_retransmits;
+            bump_by s.m.m_bytes_retransmitted (Bytebuf.length encoded);
             enqueue_frags s ~index
               (Framing.fragment_encoded ~mtu:(frag_budget s.config)
                  ~stream:s.stream ~index encoded)
@@ -308,7 +358,7 @@ let rec close_loop s =
         s.s_gave_up <- true;
         strace s "giving up CLOSE after %d attempts; releasing store"
           s.close_sent;
-        Obs.Counter.incr (Obs.Registry.counter "alf.sender.close_gave_up");
+        bump s.m.m_close_gave_up;
         teardown_sender s
       end
       else begin
@@ -332,8 +382,7 @@ let sender_handle s ~src:_ ~src_port:_ payload =
   else
     match unseal s.config.integrity payload with
     | None ->
-        Obs.Counter.incr
-          (Obs.Registry.counter "alf.sender.ctl_corrupt_dropped")
+        bump s.m.m_ctl_corrupt_dropped
     | Some payload -> (
         (* Truncated or foreign control parses to [None] and is ignored. *)
         match Ctl.parse payload with
@@ -356,9 +405,11 @@ let make_sender ~sched ~io ~peer ~peer_port ~port ~stream ~policy ~secure
     ~tx_pool ~config =
   if frag_budget config <= Framing.fragment_header_size then
     invalid_arg "Alf_transport: mtu too small for integrity/FEC overhead";
-  ignore (Obs.Registry.counter "alf.sender.nack_backoff_resets");
+  let m = sender_metrics () in
+  ignore (get m.m_nack_backoff_resets);
   let s =
     {
+      m;
       sched;
       io;
       peer;
@@ -446,12 +497,9 @@ let send_adu s adu =
   s.stats.adus_sent <- s.stats.adus_sent + 1;
   s.stats.frags_sent <- s.stats.frags_sent + List.length frags;
   s.stats.bytes_sent <- s.stats.bytes_sent + Bytebuf.length encoded;
-  Obs.Counter.incr (Obs.Registry.counter "alf.sender.adus_sent");
-  Obs.Counter.add (Obs.Registry.counter "alf.sender.bytes_sent")
-    (Bytebuf.length encoded);
-  Obs.Gauge.observe_max
-    (Obs.Registry.gauge "alf.sender.store_peak_bytes")
-    (float_of_int s.stats.store_peak);
+  bump s.m.m_adus_sent;
+  bump_by s.m.m_bytes_sent (Bytebuf.length encoded);
+  Obs.Gauge.observe_max (get s.m.m_store_peak) (float_of_int s.stats.store_peak);
   enqueue_frags s ~index frags
 
 (* --- The fused send path ---
@@ -470,11 +518,9 @@ let account_sent s ~index ~encoded_len ~nfrags =
   s.stats.adus_sent <- s.stats.adus_sent + 1;
   s.stats.frags_sent <- s.stats.frags_sent + nfrags;
   s.stats.bytes_sent <- s.stats.bytes_sent + encoded_len;
-  Obs.Counter.incr (Obs.Registry.counter "alf.sender.adus_sent");
-  Obs.Counter.add (Obs.Registry.counter "alf.sender.bytes_sent") encoded_len;
-  Obs.Gauge.observe_max
-    (Obs.Registry.gauge "alf.sender.store_peak_bytes")
-    (float_of_int s.stats.store_peak)
+  bump s.m.m_adus_sent;
+  bump_by s.m.m_bytes_sent encoded_len;
+  Obs.Gauge.observe_max (get s.m.m_store_peak) (float_of_int s.stats.store_peak)
 
 (* The 36-byte ADU header with its CRC field zeroed; patched once the
    payload digest is known. *)
@@ -701,7 +747,7 @@ let kill_sender s =
        retransmission store dies with it. Pooled datagrams still go back
        to their pool — the pool outlives the sender. *)
     teardown_sender s;
-    Obs.Counter.incr (Obs.Registry.counter "alf.sender.killed")
+    bump s.m.m_killed
   end
 
 (* --- Receiver --- *)
@@ -725,6 +771,29 @@ type req = {
   mutable tries : int;
 }
 
+type receiver_metrics = {
+  m_adus_delivered : Obs.Counter.t handle;
+  m_bytes_delivered : Obs.Counter.t handle;
+  m_nacks_sent : Obs.Counter.t handle;
+  m_adus_gone_deadline : Obs.Counter.t handle;
+  m_abandoned : Obs.Counter.t handle;
+  m_adus_lost : Obs.Counter.t handle;
+  m_frags_corrupt_dropped : Obs.Counter.t handle;
+  m_auth_dropped : Obs.Counter.t handle;
+}
+
+let receiver_metrics () =
+  {
+    m_adus_delivered = counter "alf.receiver.adus_delivered";
+    m_bytes_delivered = counter "alf.receiver.bytes_delivered";
+    m_nacks_sent = counter "alf.receiver.nacks_sent";
+    m_adus_gone_deadline = counter "alf.receiver.adus_gone_deadline";
+    m_abandoned = counter "alf.receiver.abandoned";
+    m_adus_lost = counter "alf.receiver.adus_lost";
+    m_frags_corrupt_dropped = counter "alf.receiver.frags_corrupt_dropped";
+    m_auth_dropped = counter "alf.receiver.auth_dropped";
+  }
+
 type receiver = {
   r_sched : Rt.Sched.t;
   r_io : Dgram.t;
@@ -742,6 +811,7 @@ type receiver = {
   reqs : (int, req) Hashtbl.t;
   app_deliver : Adu.t -> unit;
   r_stats : receiver_stats;
+  r_m : receiver_metrics;
   series : Stats.series;
   reasm : Framing.reassembler;
   delivered : (int, unit) Hashtbl.t;
@@ -843,7 +913,7 @@ let check_complete t =
 let send_nack t indices =
   let indices = if List.length indices > 512 then List.filteri (fun i _ -> i < 512) indices else indices in
   t.r_stats.nacks_sent <- t.r_stats.nacks_sent + 1;
-  Obs.Counter.incr (Obs.Registry.counter "alf.receiver.nacks_sent");
+  bump t.r_m.m_nacks_sent;
   send_ctl t (fun () ->
       Ctl.build_nack ~stream:t.r_stream ~have_below:t.frontier indices)
 
@@ -855,7 +925,7 @@ let locally_gone t index reason =
   Hashtbl.remove t.reqs index;
   Framing.forget t.reasm ~index;
   t.r_stats.adus_gone_local <- t.r_stats.adus_gone_local + 1;
-  Obs.Counter.incr (Obs.Registry.counter "alf.receiver.adus_gone_deadline");
+  bump t.r_m.m_adus_gone_deadline;
   rtrace t "ADU %d locally gone (%s)" index reason;
   advance_frontier t
 
@@ -894,7 +964,7 @@ let rec nack_loop t =
         t.r_abandoned <- true;
         Hashtbl.reset t.reqs;
         rtrace t "sender silent for %.3fs: abandoning repair" t.giveup_idle;
-        Obs.Counter.incr (Obs.Registry.counter "alf.receiver.abandoned")
+        bump t.r_m.m_abandoned
       end
     end
     else begin
@@ -967,10 +1037,8 @@ let deliver_complete t adu =
     t.r_stats.adus_delivered <- t.r_stats.adus_delivered + 1;
     t.r_stats.bytes_delivered <-
       t.r_stats.bytes_delivered + Bytebuf.length adu.Adu.payload;
-    Obs.Counter.incr (Obs.Registry.counter "alf.receiver.adus_delivered");
-    Obs.Counter.add
-      (Obs.Registry.counter "alf.receiver.bytes_delivered")
-      (Bytebuf.length adu.Adu.payload);
+    bump t.r_m.m_adus_delivered;
+    bump_by t.r_m.m_bytes_delivered (Bytebuf.length adu.Adu.payload);
     Stats.record t.series ~t:(Rt.Sched.now t.r_sched)
       (float_of_int t.r_stats.bytes_delivered);
     t.app_deliver adu;
@@ -1023,7 +1091,7 @@ let handle_control t payload =
             Hashtbl.remove t.reqs index;
             Framing.forget t.reasm ~index;
             t.r_stats.adus_lost <- t.r_stats.adus_lost + 1;
-            Obs.Counter.incr (Obs.Registry.counter "alf.receiver.adus_lost");
+            bump t.r_m.m_adus_lost;
             advance_frontier t
           end)
         indices;
@@ -1036,8 +1104,7 @@ let receiver_handle t ~src ~src_port payload =
       (* Stage-1 integrity: a flipped bit anywhere in the datagram stops
          here, before it can poison reassembly or forge control. *)
       t.r_stats.frags_corrupt_dropped <- t.r_stats.frags_corrupt_dropped + 1;
-      Obs.Counter.incr
-        (Obs.Registry.counter "alf.receiver.frags_corrupt_dropped")
+      bump t.r_m.m_frags_corrupt_dropped
   | Some payload ->
       (* Only integrity-verified traffic counts as liveness or identifies
          the sender — garbage must not latch a spoofed repair address. *)
@@ -1062,9 +1129,10 @@ let make_receiver ~sched ~io ~port ~stream ~nack_interval ~nack_holdoff
     invalid_arg "Alf_transport: nack_budget must be >= 1";
   (* Eager registration so `alfnet metrics` shows the hardening counters
      at zero instead of omitting them on clean runs. *)
-  ignore (Obs.Registry.counter "alf.receiver.frags_corrupt_dropped");
-  ignore (Obs.Registry.counter "alf.receiver.adus_gone_deadline");
-  ignore (Obs.Registry.counter "alf.receiver.auth_dropped");
+  let r_m = receiver_metrics () in
+  ignore (get r_m.m_frags_corrupt_dropped);
+  ignore (get r_m.m_adus_gone_deadline);
+  ignore (get r_m.m_auth_dropped);
   let deliver_ref = ref (fun (_ : Adu.t) -> ()) in
   let seed =
     match seed with
@@ -1093,6 +1161,7 @@ let make_receiver ~sched ~io ~port ~stream ~nack_interval ~nack_holdoff
       jitter = Rng.create ~seed;
       reqs = Hashtbl.create 64;
       app_deliver = deliver;
+      r_m;
       r_stats =
         {
           adus_delivered = 0;
@@ -1144,7 +1213,7 @@ let make_receiver ~sched ~io ~port ~stream ~nack_interval ~nack_holdoff
           | Ok ct -> deliver_complete t (Adu.make adu.Adu.name ct)
           | Error _ ->
               t.r_stats.adus_auth_dropped <- t.r_stats.adus_auth_dropped + 1;
-              Obs.Counter.incr (Obs.Registry.counter "alf.receiver.auth_dropped");
+              bump t.r_m.m_auth_dropped;
               rtrace t "ADU %d failed record authentication: dropped" index;
               Framing.unretire t.reasm ~index));
   nack_loop t;

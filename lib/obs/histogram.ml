@@ -12,27 +12,28 @@ type t = {
   lock : Mutex.t;
   counts : int array;
   mutable count : int;
-  mutable sum : float;
-  mutable mn : float;
-  mutable mx : float;
+  moments : Float.Array.t;
+      (* sum, min, max — unboxed, so [record] allocates nothing; a mutable
+         float field in this mixed record would box on every store *)
 }
 
+let sum_slot = 0
+let min_slot = 1
+let max_slot = 2
+
 let create () =
-  {
-    lock = Mutex.create ();
-    counts = Array.make nbuckets 0;
-    count = 0;
-    sum = 0.0;
-    mn = infinity;
-    mx = neg_infinity;
-  }
+  let moments = Float.Array.make 3 0.0 in
+  Float.Array.set moments min_slot infinity;
+  Float.Array.set moments max_slot neg_infinity;
+  { lock = Mutex.create (); counts = Array.make nbuckets 0; count = 0; moments }
 
 let locked t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
+(* Total: NaN lands in the underflow bucket with everything below 1. *)
 let bucket_of v =
-  if v < 1.0 then 0
+  if not (v >= 1.0) then 0
   else
     let i = 1 + int_of_float (Float.log2 v *. float_of_int per_octave) in
     if i >= nbuckets then nbuckets - 1 else i
@@ -42,29 +43,39 @@ let representative i =
   if i = 0 then 0.5
   else Float.pow 2.0 ((float_of_int (i - 1) +. 0.5) /. float_of_int per_octave)
 
+let moment t slot = Float.Array.get t.moments slot
+
+(* Called once per measured event (e.g. every stage-2 run), so it takes
+   the lock without a [Fun.protect] closure: nothing between lock and
+   unlock can raise. *)
 let record t v =
-  locked t (fun () ->
-      t.counts.(bucket_of v) <- t.counts.(bucket_of v) + 1;
-      t.count <- t.count + 1;
-      t.sum <- t.sum +. v;
-      if v < t.mn then t.mn <- v;
-      if v > t.mx then t.mx <- v)
+  let b = bucket_of v in
+  Mutex.lock t.lock;
+  t.counts.(b) <- t.counts.(b) + 1;
+  t.count <- t.count + 1;
+  Float.Array.set t.moments sum_slot (moment t sum_slot +. v);
+  if v < moment t min_slot then Float.Array.set t.moments min_slot v;
+  if v > moment t max_slot then Float.Array.set t.moments max_slot v;
+  Mutex.unlock t.lock
 
 let count t = locked t (fun () -> t.count)
-let sum t = locked t (fun () -> t.sum)
+let sum t = locked t (fun () -> moment t sum_slot)
 
 let mean t =
   locked t (fun () ->
-      if t.count = 0 then 0.0 else t.sum /. float_of_int t.count)
+      if t.count = 0 then 0.0 else moment t sum_slot /. float_of_int t.count)
 
-let minimum t = locked t (fun () -> if t.count = 0 then 0.0 else t.mn)
-let maximum t = locked t (fun () -> if t.count = 0 then 0.0 else t.mx)
+let minimum t =
+  locked t (fun () -> if t.count = 0 then 0.0 else moment t min_slot)
+
+let maximum t =
+  locked t (fun () -> if t.count = 0 then 0.0 else moment t max_slot)
 
 let percentile t q =
   locked t (fun () ->
       if t.count = 0 then 0.0
-      else if q <= 0.0 then t.mn
-      else if q >= 1.0 then t.mx
+      else if q <= 0.0 then moment t min_slot
+      else if q >= 1.0 then moment t max_slot
       else begin
         let rank = Float.max 1.0 (Float.round (q *. float_of_int t.count)) in
         let cum = ref 0 in
@@ -77,7 +88,7 @@ let percentile t q =
            done
          with Exit -> ());
         let v = representative (min !i (nbuckets - 1)) in
-        Float.min t.mx (Float.max t.mn v)
+        Float.min (moment t max_slot) (Float.max (moment t min_slot) v)
       end)
 
 let p50 t = percentile t 0.50

@@ -18,6 +18,9 @@ type t
 
 val create : unit -> t
 val record : t -> float -> unit
+(** Allocates nothing: safe on per-ADU paths. NaN lands in the underflow
+    bucket. *)
+
 val count : t -> int
 val sum : t -> float
 val mean : t -> float

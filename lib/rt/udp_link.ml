@@ -103,33 +103,42 @@ let source_of t sa =
       Hashtbl.replace t.rev sa (addr, 0);
       (addr, 0)
 
+(* A received datagram is staged in a buffer of [t.pool] when one is
+   free, else in [t.scratch]; only the former goes back. *)
+let release_staging t staging =
+  match t.pool with
+  | Some pool when staging != t.scratch -> Pool.release pool staging
+  | Some _ | None -> ()
+
 let drain t ~port fd =
   let received = ref 0 in
   let continue = ref true in
   while !continue && !received < t.recv_batch do
-    let staging, release =
+    let staging =
       match t.pool with
       | Some pool -> (
           match Pool.try_acquire pool with
-          | Some full -> (full, fun () -> Pool.release pool full)
+          | Some full -> full
           | None ->
               (* The receive budget is spent but the kernel queue is not:
                  fall back to the scratch buffer rather than leave the
                  datagram queued, and account the miss — under a hostile
                  flood this is the socket-drain pressure signal. *)
               t.stats.recv_pool_misses <- t.stats.recv_pool_misses + 1;
-              (t.scratch, ignore))
-      | None -> (t.scratch, ignore)
+              t.scratch)
+      | None -> t.scratch
     in
-    let bytes, off, cap = Bytebuf.backing staging in
-    match Unix.recvfrom fd bytes off cap [] with
+    match
+      Unix.recvfrom fd (Bytebuf.storage staging) (Bytebuf.offset staging)
+        (Bytebuf.length staging) []
+    with
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-        release ();
+        release_staging t staging;
         continue := false
     | exception Unix.Unix_error ((Unix.ECONNREFUSED | Unix.EINTR), _, _) ->
         (* A previous send drew an ICMP unreachable; the datagram it
            refers to is already gone. Keep draining. *)
-        release ()
+        release_staging t staging
     | n, sa ->
         incr received;
         t.stats.datagrams_received <- t.stats.datagrams_received + 1;
@@ -137,7 +146,7 @@ let drain t ~port fd =
         (match Hashtbl.find_opt t.handlers port with
         | Some handler -> handler ~src ~src_port (Bytebuf.take staging n)
         | None -> t.stats.unrouted <- t.stats.unrouted + 1);
-        release ()
+        release_staging t staging
   done;
   if !received > 0 then begin
     t.stats.recv_batches <- t.stats.recv_batches + 1;
@@ -184,8 +193,10 @@ let send t ~dst ~dst_port ~src_port payload =
         false
     | Some sa -> (
         let fd = socket_for t ~port:src_port in
-        let bytes, off, len = Bytebuf.backing payload in
-        match Unix.sendto fd bytes off len [] sa with
+        match
+          Unix.sendto fd (Bytebuf.storage payload) (Bytebuf.offset payload)
+            (Bytebuf.length payload) [] sa
+        with
         | _ ->
             t.stats.datagrams_sent <- t.stats.datagrams_sent + 1;
             true

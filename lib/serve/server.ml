@@ -99,15 +99,16 @@ type session = {
 type pending = {
   p_src : int;
   p_src_port : int;
-  p_buf : Bytebuf.t;
-  p_release : unit -> unit;
+  p_buf : Bytebuf.t;  (* the datagram: a view of [p_staging] *)
+  p_staging : Bytebuf.t;  (* the rx_pool buffer, released after dispatch *)
 }
 
 type outmsg = {
   o_dst : int;
   o_dst_port : int;
-  o_buf : Bytebuf.t;
-  o_release : unit -> unit;
+  o_buf : Bytebuf.t;  (* the sealed message: a view of [o_full] *)
+  o_full : Bytebuf.t;
+  o_pooled : bool;  (* [o_full] is a ctl_pool buffer, not a fallback *)
 }
 
 type counters = {
@@ -176,9 +177,13 @@ let load_state t = t.load
 (* The memory budget is allocated up front: fill each pool's free list at
    create so steady state never sees a fresh buffer — the zero-allocation
    gate then measures the hot path, not warm-up timing. *)
-let warm pool n =
-  List.init n (fun _ -> Pool.try_acquire pool)
-  |> List.iter (function Some b -> Pool.release pool b | None -> ())
+let rec warm pool n =
+  if n > 0 then
+    match Pool.try_acquire pool with
+    | Some b ->
+        warm pool (n - 1);
+        Pool.release pool b
+    | None -> ()
 
 let make_shard config registry sid =
   let c name =
@@ -343,7 +348,8 @@ let queue_ctl t sh ~dst ~dst_port write =
           o_dst = dst;
           o_dst_port = dst_port;
           o_buf = Bytebuf.take buf total;
-          o_release = (fun () -> Pool.release sh.ctl_pool buf);
+          o_full = buf;
+          o_pooled = true;
         }
         sh.outbox
   | None ->
@@ -356,7 +362,8 @@ let queue_ctl t sh ~dst ~dst_port write =
           o_dst = dst;
           o_dst_port = dst_port;
           o_buf = Bytebuf.take buf total;
-          o_release = ignore;
+          o_full = buf;
+          o_pooled = false;
         }
         sh.outbox);
   let depth = Queue.length sh.outbox in
@@ -620,7 +627,7 @@ let process_shard t sh =
       while not (Queue.is_empty sh.inbox) do
         let p = Queue.pop sh.inbox in
         process_pending t sh now p;
-        p.p_release ()
+        Pool.release sh.rx_pool p.p_staging
       done)
 
 (* ---- ingest (main thread: the bound handler or a test driver) ---- *)
@@ -661,7 +668,7 @@ let ingest t ~src ~src_port buf =
               p_src = src;
               p_src_port = src_port;
               p_buf = Bytebuf.take staging len;
-              p_release = (fun () -> Pool.release sh.rx_pool staging);
+              p_staging = staging;
             }
             sh.inbox;
           let depth = Queue.length sh.inbox in
@@ -682,7 +689,7 @@ let drain_outboxes t =
               (io.Dgram.send ~dst:m.o_dst ~dst_port:m.o_dst_port
                  ~src_port:t.config.port m.o_buf)
         | None -> ());
-        m.o_release ()
+        if m.o_pooled then Pool.release sh.ctl_pool m.o_full
       done;
       Mutex.unlock sh.lock)
     t.shards

@@ -366,6 +366,184 @@ let test_pool_capacity_cap () =
   (* Second acquire after cap-1 free list must allocate fresh. *)
   check Alcotest.int "allocations" 3 (Pool.stats p).Pool.allocated
 
+(* --- Pool against a reference model ---
+
+   Random command sequences run against a real pool and a list-based
+   model of what the interface promises. After every command the model
+   and the pool must agree on which calls raise, on every [stats] field,
+   on the zero fill, on which buffer comes back (only one the model
+   holds free, so at most [capacity] are kept), and on aliasing: no
+   buffer handed out may share storage with one still outstanding. *)
+
+type pool_cmd =
+  | Acquire
+  | Try_acquire
+  | Release of int  (* the i-th outstanding buffer (mod count) *)
+  | Release_seen of int  (* any buffer this pool ever handed out: double/over-release *)
+  | Release_wrong_size
+  | Release_foreign  (* fresh storage of the right size *)
+  | Release_other_pool  (* a same-sized buffer from another pool *)
+
+let pp_pool_cmd = function
+  | Acquire -> "acquire"
+  | Try_acquire -> "try_acquire"
+  | Release i -> Printf.sprintf "release %d" i
+  | Release_seen i -> Printf.sprintf "release_seen %d" i
+  | Release_wrong_size -> "release_wrong_size"
+  | Release_foreign -> "release_foreign"
+  | Release_other_pool -> "release_other_pool"
+
+let pool_cmd_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, return Acquire);
+        (3, return Try_acquire);
+        (5, map (fun i -> Release i) small_nat);
+        (2, map (fun i -> Release_seen i) small_nat);
+        (1, return Release_wrong_size);
+        (1, return Release_foreign);
+        (1, return Release_other_pool);
+      ])
+
+let pool_case =
+  QCheck.make
+    ~print:(fun ((buf_size, capacity, cap), cmds) ->
+      Printf.sprintf "buf_size=%d capacity=%d max_outstanding=%s [%s]" buf_size
+        capacity
+        (match cap with Some m -> string_of_int m | None -> "none")
+        (String.concat "; " (List.map pp_pool_cmd cmds)))
+    ~shrink:QCheck.Shrink.(pair nil (list ~shrink:nil))
+    QCheck.Gen.(
+      pair
+        (triple (1 -- 16) (0 -- 4) (opt (1 -- 5)))
+        (list_size (0 -- 80) pool_cmd_gen))
+
+type pool_model = {
+  mutable out : Bytebuf.t list;  (* acquired, not released since *)
+  mutable free : Bytebuf.t list;  (* what the free list must hold *)
+  mutable seen : Bytebuf.t list;  (* every buffer the pool handed out *)
+  mutable outstanding : int;
+  mutable allocated : int;
+  mutable reused : int;
+  mutable high_water : int;
+  mutable exhausted : int;
+}
+
+let same_storage a b = Bytebuf.storage a == Bytebuf.storage b
+let mem_storage b l = List.exists (same_storage b) l
+let remove_storage b l = List.filter (fun x -> not (same_storage b x)) l
+
+let prop_pool_model =
+  QCheck.Test.make ~name:"pool agrees with its reference model" ~count:500
+    pool_case (fun ((buf_size, capacity, max_outstanding), cmds) ->
+      let p = Pool.create ~capacity ?max_outstanding ~buf_size () in
+      let other = Pool.create ~buf_size () in
+      let m =
+        { out = []; free = []; seen = []; outstanding = 0; allocated = 0;
+          reused = 0; high_water = 0; exhausted = 0 }
+      in
+      let at_cap () =
+        match max_outstanding with
+        | Some cap when m.outstanding >= cap ->
+            m.exhausted <- m.exhausted + 1;
+            true
+        | _ -> false
+      in
+      let got b =
+        (* The model's acquire: recycle a free buffer or count a fresh one. *)
+        if Bytebuf.length b <> buf_size then QCheck.Test.fail_report "wrong size";
+        for i = 0 to buf_size - 1 do
+          if Bytebuf.get b i <> '\000' then QCheck.Test.fail_report "not zeroed"
+        done;
+        if mem_storage b m.out then QCheck.Test.fail_report "aliases an outstanding buffer";
+        if mem_storage b m.free then begin
+          m.free <- remove_storage b m.free;
+          m.reused <- m.reused + 1
+        end
+        else if mem_storage b m.seen then
+          QCheck.Test.fail_report "recycled a buffer that was not free"
+        else m.allocated <- m.allocated + 1;
+        m.outstanding <- m.outstanding + 1;
+        m.high_water <- max m.high_water m.outstanding;
+        m.out <- b :: m.out;
+        if not (mem_storage b m.seen) then m.seen <- b :: m.seen
+      in
+      (* The model's release: [own] says whether this pool made [b]. *)
+      let release b ~own =
+        let expect_raise =
+          Bytebuf.length b <> buf_size || mem_storage b m.free
+          || m.outstanding = 0
+        in
+        (* Scribble first, so a recycled buffer must really be re-zeroed. *)
+        if Bytebuf.length b = buf_size && not (mem_storage b m.free) then
+          Bytebuf.fill b 'x';
+        match Pool.release p b with
+        | exception Invalid_argument _ ->
+            if not expect_raise then QCheck.Test.fail_report "legal release raised"
+        | () ->
+            if expect_raise then QCheck.Test.fail_report "illegal release accepted";
+            m.outstanding <- m.outstanding - 1;
+            m.out <- remove_storage b m.out;
+            if own && List.length m.free < capacity then m.free <- b :: m.free
+      in
+      let nth l i = List.nth l (i mod List.length l) in
+      List.iter
+        (fun cmd ->
+          (match cmd with
+          | Acquire -> (
+              let cap = at_cap () in
+              match Pool.acquire p with
+              | b ->
+                  if cap then QCheck.Test.fail_report "acquire past the cap";
+                  got b
+              | exception Pool.Exhausted ->
+                  if not cap then QCheck.Test.fail_report "spurious Exhausted")
+          | Try_acquire -> (
+              let cap = at_cap () in
+              match Pool.try_acquire p with
+              | Some b ->
+                  if cap then QCheck.Test.fail_report "try_acquire past the cap";
+                  got b
+              | None -> if not cap then QCheck.Test.fail_report "spurious None")
+          | Release i -> if m.out <> [] then release (nth m.out i) ~own:true
+          | Release_seen i -> if m.seen <> [] then release (nth m.seen i) ~own:true
+          | Release_wrong_size -> release (Bytebuf.create (buf_size + 1)) ~own:false
+          | Release_foreign -> release (Bytebuf.create buf_size) ~own:false
+          | Release_other_pool ->
+              let b = Pool.acquire other in
+              release b ~own:false;
+              (* [other]'s books stay straight whatever [p] decided. *)
+              Pool.release other b);
+          let st = Pool.stats p in
+          if
+            st.Pool.outstanding <> m.outstanding
+            || st.Pool.allocated <> m.allocated
+            || st.Pool.reused <> m.reused
+            || st.Pool.high_water <> m.high_water
+            || st.Pool.exhausted <> m.exhausted
+          then
+            QCheck.Test.fail_reportf "stats %a after %s" Pool.pp_stats st
+              (pp_pool_cmd cmd))
+        cmds;
+      true)
+
+(* A warmed pair does no work the GC sees beyond the [Some] cell: no
+   closure, no free-list cell, no fresh buffer. *)
+let test_pool_steady_state_alloc () =
+  let p = Pool.create ~capacity:4 ~max_outstanding:8 ~buf_size:64 () in
+  (match Pool.try_acquire p with Some b -> Pool.release p b | None -> ());
+  let rounds = 1_000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to rounds do
+    match Pool.try_acquire p with
+    | Some b -> Pool.release p b
+    | None -> fail "warm pool refused"
+  done;
+  let words = (Gc.minor_words () -. before) /. float_of_int rounds in
+  if words > 2.0 then
+    fail (Printf.sprintf "%.1f words per try_acquire/release pair" words)
+
 (* --- Hexdump --- *)
 
 let test_hexdump_shape () =
@@ -465,6 +643,9 @@ let () =
             test_created_total_accounting;
           Alcotest.test_case "steady-state zero creates" `Quick
             test_pool_reuse_no_creates;
+          Alcotest.test_case "steady-state allocation" `Quick
+            test_pool_steady_state_alloc;
+          qcheck prop_pool_model;
         ] );
       ( "hexdump",
         [

@@ -139,6 +139,26 @@ let test_histogram_empty_and_underflow () =
   Alcotest.(check bool) "percentile stays finite" true
     (Float.is_finite (Obs.Histogram.p50 h))
 
+(* [record] runs once per stage-2 ADU, so it must not allocate: no
+   [Fun.protect] closure, no boxed float for the sum, min or max. The
+   samples are literals, so the caller boxes nothing either. *)
+let test_histogram_record_no_alloc () =
+  let h = Obs.Histogram.create () in
+  Obs.Histogram.record h 1.0;
+  let rounds = 1_000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to rounds do
+    Obs.Histogram.record h 3.5;
+    Obs.Histogram.record h 1e9;
+    Obs.Histogram.record h 0.25;
+    Obs.Histogram.record h Float.nan
+  done;
+  let words = Gc.minor_words () -. before in
+  check (Alcotest.float 0.0) "words allocated by record" 0.0 words;
+  check Alcotest.int "count" ((4 * rounds) + 1) (Obs.Histogram.count h);
+  check (Alcotest.float 0.0) "min" 0.25 (Obs.Histogram.minimum h);
+  check (Alcotest.float 0.0) "max" 1e9 (Obs.Histogram.maximum h)
+
 let prop_histogram_percentile_monotone =
   QCheck.Test.make ~name:"histogram: percentile monotone in q" ~count:200
     QCheck.(list_of_size Gen.(1 -- 50) (float_bound_exclusive 1e6))
@@ -325,6 +345,8 @@ let () =
             test_histogram_empty_and_underflow;
           Alcotest.test_case "multi-domain exact count" `Quick
             test_histogram_multidomain_count;
+          Alcotest.test_case "record allocates nothing" `Quick
+            test_histogram_record_no_alloc;
           qcheck prop_histogram_percentile_monotone;
         ] );
       ( "json",
