@@ -9,9 +9,10 @@ all: build
 # quota), the fused AEAD record-layer gate (E20), the real-socket
 # loopback self-test with its zero-allocation gate (E16), the sharded
 # many-session engine self-test on both backends (E17), and the
-# adversarial-ingress self-test under byzantine load (E18), and the
-# smoke pass of the end-to-end benchmark (perfbench/).
-check: test perf-smoke secure-smoke udp-smoke serve-smoke hostile-smoke perfbench-check
+# adversarial-ingress self-test under byzantine load (E18), the smoke
+# pass of the end-to-end benchmark (perfbench/), and the examples, each
+# of which exits non-zero when its run goes wrong.
+check: test perf-smoke secure-smoke udp-smoke serve-smoke hostile-smoke perfbench-check examples
 
 build:
 	dune build @all

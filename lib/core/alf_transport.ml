@@ -762,6 +762,7 @@ type receiver_stats = {
   mutable frags_corrupt_dropped : int;
   mutable adus_auth_dropped : int;
   mutable adus_gone_local : int;
+  mutable window_dropped : int;
 }
 
 (* Repair state for one missing index. *)
@@ -814,12 +815,8 @@ type receiver = {
   r_m : receiver_metrics;
   series : Stats.series;
   reasm : Framing.reassembler;
-  delivered : (int, unit) Hashtbl.t;
-  gone : (int, unit) Hashtbl.t;
+  rx : Rx.t;
   mutable fec_rx : Fec.decoder option;  (* created on first FEC block *)
-  mutable frontier : int;  (* all below are delivered or gone *)
-  mutable highest_seen : int;
-  mutable total : int option;
   mutable sender_addr : (Packet.addr * int) option;
   mutable last_rx : float;  (* last integrity-verified datagram *)
   mutable nack_timer : Rt.Sched.timer option;
@@ -837,12 +834,11 @@ let rtrace t fmt =
 
 let set_receiver_tracer t f = t.r_tracer <- Some f
 let receiver_stats t = t.r_stats
-let receiver_frontier t = t.frontier
+let receiver_frontier t = Rx.frontier t.rx
 
 let receiver_table_sizes t =
-  ( Hashtbl.length t.delivered,
-    Hashtbl.length t.gone,
-    Hashtbl.length t.reqs )
+  let d, g = Rx.ahead_counts t.rx in
+  (d, g, Hashtbl.length t.reqs)
 
 let receiver_retired_count t = Framing.retired_count t.reasm
 let reassembly_stats t = Framing.stats t.reasm
@@ -851,39 +847,14 @@ let abandoned t = t.r_abandoned
 let on_complete t f = t.complete_cb <- f
 let delivery_series t = t.series
 
-(* Everything below the contiguous frontier is settled by definition, so
-   the per-index tables only hold indices settled {e out of order} — the
-   reordering window, not the stream. Answering by frontier comparison
-   first is what lets [advance_frontier] retire entries as it passes
-   them; without the retirement the delivered/gone tables grow by one
-   entry per ADU for the life of a streaming receiver. *)
-let settled t index =
-  index < t.frontier
-  || Hashtbl.mem t.delivered index
-  || Hashtbl.mem t.gone index
+let settled t index = Rx.settled t.rx index
+let missing t = Rx.missing t.rx ~cap:Rx.window
 
-let advance_frontier t =
-  let start = t.frontier in
-  while
-    Hashtbl.mem t.delivered t.frontier || Hashtbl.mem t.gone t.frontier
-  do
-    Hashtbl.remove t.delivered t.frontier;
-    Hashtbl.remove t.gone t.frontier;
-    Hashtbl.remove t.reqs t.frontier;
-    t.frontier <- t.frontier + 1
-  done;
-  (* The reassembler's retired-index table rides the same frontier. *)
-  if t.frontier > start then Framing.retire_below t.reasm ~bound:t.frontier
-
-let missing t =
-  let bound =
-    match t.total with Some n -> n | None -> t.highest_seen + 1
-  in
-  let rec go i acc =
-    if i >= bound then List.rev acc
-    else go (i + 1) (if settled t i then acc else i :: acc)
-  in
-  go t.frontier []
+(* A freshly settled index takes its repair entry with it, so none
+   survives below the frontier; the reassembler's state rides it too. *)
+let retire t index =
+  Hashtbl.remove t.reqs index;
+  Framing.retire_below t.reasm ~bound:(Rx.frontier t.rx)
 
 let send_ctl t build =
   match t.sender_addr with
@@ -896,38 +867,38 @@ let send_ctl t build =
 let send_done t = send_ctl t (fun () -> Ctl.build_done ~stream:t.r_stream)
 
 let check_complete t =
-  match t.total with
-  | Some total when (not t.complete_flag) && t.frontier >= total ->
-      t.complete_flag <- true;
-      (* Nothing more will be asked for: drop all repair bookkeeping (a
-         long-lived receiver must not keep per-index state forever) and
-         disarm the repair loop — a pending NACK timer firing into a
-         completed session is the other half of the timer leak. *)
-      Hashtbl.reset t.reqs;
-      (match t.nack_timer with Some tm -> Rt.Sched.cancel tm | None -> ());
-      t.nack_timer <- None;
-      send_done t;
-      t.complete_cb ()
-  | Some _ | None -> ()
+  if (not t.complete_flag) && Rx.complete t.rx then begin
+    t.complete_flag <- true;
+    (* Nothing more will be asked for: drop all repair bookkeeping (a
+       long-lived receiver must not keep per-index state forever) and
+       disarm the repair loop — a pending NACK timer firing into a
+       completed session is the other half of the timer leak. *)
+    Hashtbl.reset t.reqs;
+    (match t.nack_timer with Some tm -> Rt.Sched.cancel tm | None -> ());
+    t.nack_timer <- None;
+    send_done t;
+    t.complete_cb ()
+  end
 
 let send_nack t indices =
   let indices = if List.length indices > 512 then List.filteri (fun i _ -> i < 512) indices else indices in
   t.r_stats.nacks_sent <- t.r_stats.nacks_sent + 1;
   bump t.r_m.m_nacks_sent;
   send_ctl t (fun () ->
-      Ctl.build_nack ~stream:t.r_stream ~have_below:t.frontier indices)
+      Ctl.build_nack ~stream:t.r_stream ~have_below:(Rx.frontier t.rx) indices)
 
 (* Local loss declaration: the repair budget or deadline for [index] is
    exhausted, so stop asking and report the loss in application terms —
    exactly what a sender-side GONE does, but decided here. *)
 let locally_gone t index reason =
-  Hashtbl.replace t.gone index ();
-  Hashtbl.remove t.reqs index;
-  Framing.forget t.reasm ~index;
-  t.r_stats.adus_gone_local <- t.r_stats.adus_gone_local + 1;
-  bump t.r_m.m_adus_gone_deadline;
-  rtrace t "ADU %d locally gone (%s)" index reason;
-  advance_frontier t
+  match Rx.settle t.rx index ~delivered:false with
+  | Rx.Fresh ->
+      Framing.forget t.reasm ~index;
+      t.r_stats.adus_gone_local <- t.r_stats.adus_gone_local + 1;
+      bump t.r_m.m_adus_gone_deadline;
+      rtrace t "ADU %d locally gone (%s)" index reason;
+      retire t index
+  | Rx.Dup | Rx.Beyond_window -> ()
 
 let rec nack_loop t =
   t.nack_timer <- None;
@@ -984,7 +955,7 @@ let rec nack_loop t =
       | [] -> ()
       | gaps when t.sender_addr <> None ->
           rtrace t "NACK for %d missing ADUs (frontier %d)" (List.length gaps)
-            t.frontier;
+            (Rx.frontier t.rx);
           List.iter
             (fun i ->
               match Hashtbl.find_opt t.reqs i with
@@ -996,12 +967,9 @@ let rec nack_loop t =
           send_nack t gaps;
           (* Rounds that keep asking without anything settling widen the
              loop (Rto backoff); a clean repair sample resets it. The
-             marker must be monotone — stats counters, not table sizes,
-             which shrink as the frontier retires entries. *)
-          let settled_now =
-            t.r_stats.adus_delivered + t.r_stats.adus_lost
-            + t.r_stats.adus_gone_local
-          in
+             marker must be monotone — settlement counts, not table
+             sizes, which shrink as the frontier retires entries. *)
+          let settled_now = Rx.delivered t.rx + Rx.gone t.rx in
           if settled_now = t.last_loop_settled then
             Transport.Rto.backoff t.nack_rto;
           t.last_loop_settled <- settled_now
@@ -1017,45 +985,45 @@ let rec nack_loop t =
 
 let deliver_complete t adu =
   let index = adu.Adu.name.Adu.index in
-  if settled t index then t.r_stats.duplicates <- t.r_stats.duplicates + 1
-  else begin
-    Hashtbl.replace t.delivered index ();
-    (match Hashtbl.find_opt t.reqs index with
-    | Some r ->
-        (* A repair answered on the first ask is an unambiguous RTT
-           sample (Karn: multiply-requested ones are not). *)
-        if r.tries = 1 then
-          Transport.Rto.sample t.nack_rto
-            (Rt.Sched.now t.r_sched -. r.last_nack);
-        Hashtbl.remove t.reqs index
-    | None -> ());
-    if index > t.frontier then begin
-      t.r_stats.out_of_order <- t.r_stats.out_of_order + 1;
-      rtrace t "ADU %d complete out of order (frontier %d)" index t.frontier
-    end;
-    advance_frontier t;
-    t.r_stats.adus_delivered <- t.r_stats.adus_delivered + 1;
-    t.r_stats.bytes_delivered <-
-      t.r_stats.bytes_delivered + Bytebuf.length adu.Adu.payload;
-    bump t.r_m.m_adus_delivered;
-    bump_by t.r_m.m_bytes_delivered (Bytebuf.length adu.Adu.payload);
-    Stats.record t.series ~t:(Rt.Sched.now t.r_sched)
-      (float_of_int t.r_stats.bytes_delivered);
-    t.app_deliver adu;
-    check_complete t
-  end
+  let frontier = Rx.frontier t.rx in
+  match Rx.settle t.rx index ~delivered:true with
+  | Rx.Dup -> t.r_stats.duplicates <- t.r_stats.duplicates + 1
+  | Rx.Beyond_window ->
+      t.r_stats.window_dropped <- t.r_stats.window_dropped + 1
+  | Rx.Fresh ->
+      (match Hashtbl.find_opt t.reqs index with
+      | Some r ->
+          (* A repair answered on the first ask is an unambiguous RTT
+             sample (Karn: multiply-requested ones are not). *)
+          if r.tries = 1 then
+            Transport.Rto.sample t.nack_rto
+              (Rt.Sched.now t.r_sched -. r.last_nack)
+      | None -> ());
+      if index > frontier then begin
+        t.r_stats.out_of_order <- t.r_stats.out_of_order + 1;
+        rtrace t "ADU %d complete out of order (frontier %d)" index frontier
+      end;
+      retire t index;
+      t.r_stats.adus_delivered <- t.r_stats.adus_delivered + 1;
+      t.r_stats.bytes_delivered <-
+        t.r_stats.bytes_delivered + Bytebuf.length adu.Adu.payload;
+      bump t.r_m.m_adus_delivered;
+      bump_by t.r_m.m_bytes_delivered (Bytebuf.length adu.Adu.payload);
+      Stats.record t.series ~t:(Rt.Sched.now t.r_sched)
+        (float_of_int t.r_stats.bytes_delivered);
+      t.app_deliver adu;
+      check_complete t
 
 let handle_fragment t payload =
   match Framing.parse_fragment payload with
   | exception Framing.Frag_error _ -> ()
-  | frag ->
-      if frag.Framing.stream = t.r_stream then begin
-        if frag.Framing.index > t.highest_seen then
-          t.highest_seen <- frag.Framing.index;
-        if settled t frag.Framing.index then
-          t.r_stats.duplicates <- t.r_stats.duplicates + 1
-        else Framing.push t.reasm frag
-      end
+  | frag when frag.Framing.stream = t.r_stream -> (
+      match Rx.admit t.rx frag.Framing.index with
+      | Rx.Fresh -> Framing.push t.reasm frag
+      | Rx.Dup -> t.r_stats.duplicates <- t.r_stats.duplicates + 1
+      | Rx.Beyond_window ->
+          t.r_stats.window_dropped <- t.r_stats.window_dropped + 1)
+  | _ -> ()
 
 let fec_decoder t =
   match t.fec_rx with
@@ -1075,25 +1043,22 @@ let fec_decoder t =
 let handle_control t payload =
   match Ctl.parse payload with
   | Some (Ctl.Close { stream; total }) when stream = t.r_stream ->
-      (* Duplicate CLOSEs are idempotent: the first total wins (they are
-         all equal from a sane sender anyway). *)
-      if t.total = None then t.total <- Some total;
-      let total = match t.total with Some n -> n | None -> total in
-      if total - 1 > t.highest_seen then t.highest_seen <- total - 1;
+      Rx.close t.rx total;
       check_complete t;
       (* A re-CLOSE after completion means our DONE was lost. *)
       if t.complete_flag then send_done t
   | Some (Ctl.Gone { stream; indices }) when stream = t.r_stream ->
       List.iter
         (fun index ->
-          if not (settled t index) then begin
-            Hashtbl.replace t.gone index ();
-            Hashtbl.remove t.reqs index;
-            Framing.forget t.reasm ~index;
-            t.r_stats.adus_lost <- t.r_stats.adus_lost + 1;
-            bump t.r_m.m_adus_lost;
-            advance_frontier t
-          end)
+          match Rx.settle t.rx index ~delivered:false with
+          | Rx.Fresh ->
+              Framing.forget t.reasm ~index;
+              t.r_stats.adus_lost <- t.r_stats.adus_lost + 1;
+              bump t.r_m.m_adus_lost;
+              retire t index
+          | Rx.Dup -> ()
+          | Rx.Beyond_window ->
+              t.r_stats.window_dropped <- t.r_stats.window_dropped + 1)
         indices;
       check_complete t
   | Some _ | None -> ()
@@ -1173,18 +1138,15 @@ let make_receiver ~sched ~io ~port ~stream ~nack_interval ~nack_holdoff
           frags_corrupt_dropped = 0;
           adus_auth_dropped = 0;
           adus_gone_local = 0;
+          window_dropped = 0;
         };
       series = Stats.series ();
       reasm =
         Framing.reassembler ?pool:reasm_pool
           ~deliver:(fun adu -> !deliver_ref adu)
           ();
-      delivered = Hashtbl.create 256;
-      gone = Hashtbl.create 16;
+      rx = Rx.create ();
       fec_rx = None;
-      frontier = 0;
-      highest_seen = -1;
-      total = None;
       sender_addr = None;
       last_rx = Rt.Sched.now sched;
       nack_timer = None;
@@ -1285,15 +1247,3 @@ let receiver_views ~sched ~udp ~port ~stream ?nack_interval ?nack_holdoff
   receiver ~sched ~udp ~port ~stream ?nack_interval ?nack_holdoff
     ?nack_budget ?adu_deadline ?giveup_idle ?integrity ?secure ?seed
     ?reasm_pool ~deliver:deliver_adu ()
-
-let receiver_stage2 ~sched ~udp ~port ~stream ?nack_interval ?nack_holdoff
-    ?secure ?pool ?batch ?reasm_pool ?out_pool ?in_pool ~plan ~deliver () =
-  let stage = Stage2.create ?pool ?batch ?out_pool ?in_pool ~plan ~deliver () in
-  let t =
-    receiver ~sched ~udp ~port ~stream ?nack_interval ?nack_holdoff ?secure
-      ?reasm_pool ~deliver:(Stage2.deliver_fn stage) ()
-  in
-  (* Stage 1 settles the last ADU before [check_complete] fires, so the
-     flush here always drains the final partial batch. *)
-  on_complete t (fun () -> Stage2.flush stage);
-  (t, stage)

@@ -196,6 +196,8 @@ type receiver_stats = {
       repair, never delivered. *)
   mutable adus_gone_local : int;  (** Declared gone by the receiver: NACK
       budget or deadline exhausted, or the sender went silent. *)
+  mutable window_dropped : int;  (** Fragment and GONE indices at or
+      beyond [frontier + ]{!Rx.window}, refused unsettled. *)
 }
 
 type receiver
@@ -243,6 +245,10 @@ val receiver :
     with no integrity-verified datagram, the sender is presumed dead: all
     outstanding indices go locally gone and the repair loop stops (so a
     simulation can quiesce); any later verified datagram revives it.
+    Stage 1 is an {!Rx} window: fragment and GONE indices at or beyond
+    [frontier + ]{!Rx.window} are dropped into [window_dropped], and no
+    repair round scans past {!Rx.horizon}, so a forged index or CLOSE
+    total (unauthenticated u32s) cannot grow state past the window.
 
     [integrity] must match the sender's (default [Some Crc32]);
     datagrams failing the check are dropped before they can poison
@@ -347,41 +353,6 @@ val receiver_views :
     Invalid payloads are dropped and counted on
     [alf.receiver.view_invalid]; arbitrary bytes never raise. *)
 
-val receiver_stage2 :
-  sched:Rt.Sched.t ->
-  udp:Transport.Udp.t ->
-  port:int ->
-  stream:int ->
-  ?nack_interval:float ->
-  ?nack_holdoff:float ->
-  ?secure:Secure.Record.t ->
-  ?pool:Par.Pool.t ->
-  ?batch:int ->
-  ?reasm_pool:Bufkit.Pool.t ->
-  ?out_pool:Bufkit.Pool.t ->
-  ?in_pool:Bufkit.Pool.t ->
-  plan:(Adu.t -> Ilp.plan) ->
-  deliver:(Stage2.result -> unit) ->
-  unit ->
-  receiver * Stage2.t
-(** The two-stage receive path assembled: a {!receiver} whose delivery
-    callback is a {!Stage2} processor. With [?pool], stage 2 runs the
-    ILP plans of batched ADUs across worker domains ({!Ilp_par}) and the
-    completion callback is pre-wired to {!Stage2.flush} so the final
-    partial batch always drains — calling {!on_complete} afterwards
-    replaces that wiring, so compose the flush into your own callback if
-    you need one.
-
-    The three buffer pools make steady-state receive allocation-free
-    (zero [Bytebuf.create] per ADU after warmup): [?reasm_pool] recycles
-    stage-1 reassembly buffers, [?out_pool] supplies the fused loop's
-    output buffers (delivered payloads are then borrowed — consume them
-    inside [deliver]), and [?in_pool] stages borrowed inputs across
-    batch boundaries. Give [?in_pool] whenever [?reasm_pool] and [?pool]
-    are combined, since batching retains payloads past the stage-1
-    callback. Each pool is optional and degrades independently to plain
-    allocation. *)
-
 val set_receiver_tracer : receiver -> (string -> unit) -> unit
 (** Line-oriented event tracer (NACKs, out-of-order completions). *)
 
@@ -402,11 +373,7 @@ val abandoned : receiver -> bool
 
 val settled : receiver -> int -> bool
 (** Index delivered or gone (either end's declaration) — the
-    accounting soak invariants check. Answered by comparison against the
-    contiguous frontier for indices below it, by table lookup above:
-    per-index state is retired as the frontier passes it, so a streaming
-    receiver's tables stay sized by the reordering window, not the
-    stream. *)
+    accounting soak invariants check ({!Rx.settled}). *)
 
 val receiver_frontier : receiver -> int
 (** Lowest index not yet settled; everything below is delivered or
@@ -429,4 +396,4 @@ val delivery_series : receiver -> Stats.series
     progress curve. *)
 
 val missing : receiver -> int list
-(** Indices currently known missing (diagnostic). *)
+(** Indices known missing, up to {!Rx.horizon} (diagnostic). *)

@@ -29,7 +29,7 @@ type reason =
   | Backpressure  (** Staging pool exhausted at ingest. *)
   | Bad_crc  (** Integrity trailer failed on the shard. *)
   | Bad_adu  (** Reassembled unit failed the ADU decode/CRC. *)
-  | Window  (** ADU index beyond the per-session admission window. *)
+  | Window  (** Index at or beyond [frontier + ]{!Alf_core.Rx.window}. *)
   | Policed_new  (** Session-creation token bucket empty for this peer. *)
   | Policed_ctl  (** Control-traffic token bucket empty for this peer. *)
   | Shed  (** New admission refused under overload (brownout). *)

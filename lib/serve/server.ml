@@ -23,7 +23,6 @@ type config = {
   secure : Secure.Record.t option;
   obs_prefix : string;
   ingress_validation : bool;
-  max_ahead_window : int;
   police_buckets : int;
   admit_rate : float;
   admit_burst : float;
@@ -56,7 +55,6 @@ let default_config =
     secure = None;
     obs_prefix = "serve";
     ingress_validation = true;
-    max_ahead_window = 4096;
     police_buckets = 1024;
     (* Rates are per (shard, peer-hash) bucket: honest load spreads one
        peer's streams across all shards, so a bucket sees 1/shards of a
@@ -82,18 +80,13 @@ let load_state_name = function
 
 type session = {
   key : key;
-  mutable frontier : int;  (* everything below is delivered or gone *)
-  mutable highest : int;  (* highest index seen, -1 before any *)
-  mutable total : int;  (* from CLOSE; -1 while unknown *)
-  ahead : (int, bool) Hashtbl.t;  (* index >= frontier -> delivered? *)
+  rx : Rx.t;
   mutable reasm : Framing.reassembler option;  (* multi-fragment only *)
   mutable last_rx : float;
   mutable completed : bool;
   mutable completed_at : float;
   mutable nack_tries : int;
   mutable last_nack : float;
-  mutable s_delivered : int;
-  mutable s_gone : int;
 }
 
 type pending = {
@@ -263,18 +256,11 @@ let count_drop sh reason =
 
 (* ---- session bookkeeping (all under the owning shard's lock) ---- *)
 
-let settled s index = index < s.frontier || Hashtbl.mem s.ahead index
-
-let advance s =
-  let start = s.frontier in
-  while Hashtbl.mem s.ahead s.frontier do
-    Hashtbl.remove s.ahead s.frontier;
-    s.frontier <- s.frontier + 1
-  done;
-  if s.frontier > start then
-    match s.reasm with
-    | Some r -> Framing.retire_below r ~bound:s.frontier
-    | None -> ()
+(* The reassembler's retired-index table rides the frontier. *)
+let retire s =
+  match s.reasm with
+  | Some r -> Framing.retire_below r ~bound:(Rx.frontier s.rx)
+  | None -> ()
 
 let drop_session sh s =
   (* [clear], not [retire_below ~bound:(highest+1)]: a hostile sender can
@@ -283,7 +269,6 @@ let drop_session sh s =
      would strand that partial's pooled buffer — a budget leak a churn
      flood turns into exhaustion. *)
   (match s.reasm with Some r -> Framing.clear r | None -> ());
-  Hashtbl.reset s.ahead;
   Hashtbl.remove sh.sessions s.key
 
 (* Victim choice when a shard is at capacity: a completed session that is
@@ -316,18 +301,13 @@ let admit t sh k now =
   let s =
     {
       key = k;
-      frontier = 0;
-      highest = -1;
-      total = -1;
-      ahead = Hashtbl.create 8;
+      rx = Rx.create ();
       reasm = None;
       last_rx = now;
       completed = false;
       completed_at = 0.;
       nack_tries = 0;
       last_nack = now;
-      s_delivered = 0;
-      s_gone = 0;
     }
   in
   Hashtbl.replace sh.sessions k s;
@@ -376,89 +356,102 @@ let send_done t sh s =
   Obs.Counter.incr sh.ctr.c_dones
 
 let maybe_complete t sh s =
-  if (not s.completed) && s.total >= 0 && s.frontier >= s.total then begin
+  if (not s.completed) && Rx.complete s.rx then begin
     s.completed <- true;
     s.completed_at <- Rt.Sched.now t.sched;
     send_done t sh s;
     match t.on_complete with
-    | Some f -> f s.key ~delivered:s.s_delivered ~gone:s.s_gone
+    | Some f -> f s.key ~delivered:(Rx.delivered s.rx) ~gone:(Rx.gone s.rx)
     | None -> ()
   end
 
+(* Sender GONEs and locally declared losses settle alike; [c] counts
+   the indices that were still open. *)
+let settle_gone t sh s c indices =
+  List.iter
+    (fun i ->
+      match Rx.settle s.rx i ~delivered:false with
+      | Rx.Fresh -> Obs.Counter.incr c
+      | Rx.Dup | Rx.Beyond_window -> ())
+    indices;
+  retire s;
+  maybe_complete t sh s
+
 (* ---- stage 2 + delivery ---- *)
 
-(* Returns the drop reason when the unit must not count as served —
-   today only [Auth]; [None] covers both delivery and the benign
-   duplicate short-circuit. *)
+(* Returns the drop reason when the unit must not count as served
+   ([Auth], or [Window] for an ADU header index beyond the window);
+   [None] covers delivery and the benign duplicate short-circuit. *)
 let deliver_adu t sh s adu =
   let index = adu.Adu.name.Adu.index in
-  if settled s index then begin
-    Obs.Counter.incr sh.ctr.c_dups;
-    None
-  end
-  else
-    (* The record layer opens in place over the borrowed payload — one
-       fused MAC+decrypt pass on the shard domain — before any stage-2
-       work sees the bytes. A failure is a counted [Auth] drop, and the
-       index is un-retired so NACK repair can fetch the genuine bytes. *)
-    let opened =
-      match sh.sh_secure with
-      | None -> Ok adu
-      | Some rc -> (
-          match Secure.Record.open_payload rc adu.Adu.name adu.Adu.payload with
-          | Ok ct -> Ok (Adu.make adu.Adu.name ct)
-          | Error _ -> Error Ingress.Auth)
-    in
-    match opened with
-    | Error reason ->
-        (match s.reasm with
-        | Some r -> Framing.unretire r ~index
-        | None -> ());
-        Some reason
-    | Ok adu ->
-    let payload = adu.Adu.payload in
-    let plen = Bytebuf.length payload in
-    (match t.stage2_prog with
-    | Some prog ->
-        (* Lazy stage 2: same plan transform into the shard scratch, but
-           a validate pass instead of a decode — the on_view hook reads
-           fields on demand over the scratch bytes. Byzantine payloads
-           land in [view_invalid], never an exception. *)
-        let r =
-          if plen <= Bytebuf.length sh.scratch then
-            Ilp.run_view
-              ~dst:(Bytebuf.take sh.scratch plen)
-              t.config.stage2_plan prog payload
-          else begin
-            Obs.Counter.incr sh.ctr.c_fallback_allocs;
-            Ilp.run_view t.config.stage2_plan prog payload
-          end
-        in
-        (match r.Ilp.view with
-        | Ok (view, _) ->
-            Obs.Counter.incr sh.ctr.c_views;
-            (match t.on_view with Some f -> f s.key view | None -> ())
-        | Error _ -> Obs.Counter.incr sh.ctr.c_view_invalid)
-    | None ->
-        if plen > 0 then
-          if plen <= Bytebuf.length sh.scratch then
-            ignore
-              (Ilp.run_fused
-                 ~dst:(Bytebuf.take sh.scratch plen)
-                 t.config.stage2_plan payload)
-          else begin
-            Obs.Counter.incr sh.ctr.c_fallback_allocs;
-            ignore (Ilp.run_fused t.config.stage2_plan payload)
-          end);
-    Hashtbl.replace s.ahead index true;
-    s.s_delivered <- s.s_delivered + 1;
-    Obs.Counter.incr sh.ctr.c_delivered;
-    Obs.Counter.add sh.ctr.c_bytes plen;
-    if index > s.highest then s.highest <- index;
-    (match t.on_adu with Some f -> f s.key adu | None -> ());
-    advance s;
-    maybe_complete t sh s;
-    None
+  match Rx.admit s.rx index with
+  | Rx.Dup ->
+      Obs.Counter.incr sh.ctr.c_dups;
+      None
+  | Rx.Beyond_window -> Some Ingress.Window
+  | Rx.Fresh ->
+      (* The record layer opens in place over the borrowed payload — one
+         fused MAC+decrypt pass on the shard domain — before any stage-2
+         work sees the bytes. A failure is a counted [Auth] drop, and the
+         index is un-retired so NACK repair can fetch the genuine bytes. *)
+      let opened =
+        match sh.sh_secure with
+        | None -> Ok adu
+        | Some rc -> (
+            match
+              Secure.Record.open_payload rc adu.Adu.name adu.Adu.payload
+            with
+            | Ok ct -> Ok (Adu.make adu.Adu.name ct)
+            | Error _ -> Error Ingress.Auth)
+      in
+      match opened with
+      | Error reason ->
+          (match s.reasm with
+          | Some r -> Framing.unretire r ~index
+          | None -> ());
+          Some reason
+      | Ok adu ->
+      let payload = adu.Adu.payload in
+      let plen = Bytebuf.length payload in
+      (match t.stage2_prog with
+      | Some prog ->
+          (* Lazy stage 2: same plan transform into the shard scratch, but
+             a validate pass instead of a decode — the on_view hook reads
+             fields on demand over the scratch bytes. Byzantine payloads
+             land in [view_invalid], never an exception. *)
+          let r =
+            if plen <= Bytebuf.length sh.scratch then
+              Ilp.run_view
+                ~dst:(Bytebuf.take sh.scratch plen)
+                t.config.stage2_plan prog payload
+            else begin
+              Obs.Counter.incr sh.ctr.c_fallback_allocs;
+              Ilp.run_view t.config.stage2_plan prog payload
+            end
+          in
+          (match r.Ilp.view with
+          | Ok (view, _) ->
+              Obs.Counter.incr sh.ctr.c_views;
+              (match t.on_view with Some f -> f s.key view | None -> ())
+          | Error _ -> Obs.Counter.incr sh.ctr.c_view_invalid)
+      | None ->
+          if plen > 0 then
+            if plen <= Bytebuf.length sh.scratch then
+              ignore
+                (Ilp.run_fused
+                   ~dst:(Bytebuf.take sh.scratch plen)
+                   t.config.stage2_plan payload)
+            else begin
+              Obs.Counter.incr sh.ctr.c_fallback_allocs;
+              ignore (Ilp.run_fused t.config.stage2_plan payload)
+            end);
+      ignore (Rx.settle s.rx index ~delivered:true);
+      Obs.Counter.incr sh.ctr.c_delivered;
+      Obs.Counter.add sh.ctr.c_bytes plen;
+      (match t.on_adu with Some f -> f s.key adu | None -> ());
+      retire s;
+      maybe_complete t sh s;
+      None
 
 (* ---- per-datagram dispatch (inside a shard task) ----
 
@@ -490,63 +483,54 @@ let handle_fragment t sh now ~src ~src_port body =
       let k = { peer = src; peer_port = src_port; stream = frag.Framing.stream } in
       match gated_admit t sh k now with
       | Error reason -> Some reason
-      | Ok s ->
+      | Ok s -> (
           s.last_rx <- now;
-          if settled s frag.Framing.index then begin
-            Obs.Counter.incr sh.ctr.c_dups;
-            None
-          end
-          else if frag.Framing.index >= s.frontier + t.config.max_ahead_window
-          then
-            (* Beyond the admission window: a forged index would otherwise
-               grow the ahead table and stretch the repair scan without
-               bound. Checked before [highest] moves, so a hostile index
-               cannot poison the repair horizon either. *)
-            Some Ingress.Window
-          else begin
-            if frag.Framing.index > s.highest then
-              s.highest <- frag.Framing.index;
-            if frag.Framing.nfrags = 1 then (
-              (* The single-fragment fast path: the whole encoded ADU is
-                 already in the staged datagram — decode the view, no
-                 reassembler, no copy. *)
-              match Adu.decode_view_res frag.Framing.chunk with
-              | Error _ -> Some Ingress.Bad_adu
-              | Ok adu -> deliver_adu t sh s adu)
-            else begin
-              let r =
-                match s.reasm with
-                | Some r -> r
-                | None ->
-                    let r =
-                      Framing.reassembler ~pool:sh.reasm_pool
-                        ~deliver:(fun adu ->
-                          sh.pending_reason <- deliver_adu t sh s adu)
-                        ()
-                    in
-                    s.reasm <- Some r;
-                    r
-              in
-              (* [push] reports malformed outcomes through its stats; the
-                 deltas attribute this datagram to exactly one reason. *)
-              let st = Framing.stats r in
-              let dups0 = st.Framing.duplicate_frags in
-              let corrupt0 = st.Framing.corrupt_adus in
-              let inconsistent0 = st.Framing.inconsistent_frags in
-              sh.pending_reason <- None;
-              Framing.push r frag;
-              if st.Framing.corrupt_adus > corrupt0 then Some Ingress.Bad_adu
-              else if st.Framing.inconsistent_frags > inconsistent0 then
-                Some Ingress.Frag_header
+          match Rx.admit s.rx frag.Framing.index with
+          | Rx.Dup ->
+              Obs.Counter.incr sh.ctr.c_dups;
+              None
+          | Rx.Beyond_window -> Some Ingress.Window
+          | Rx.Fresh ->
+              if frag.Framing.nfrags = 1 then (
+                (* The single-fragment fast path: the whole encoded ADU is
+                   already in the staged datagram — decode the view, no
+                   reassembler, no copy. *)
+                match Adu.decode_view_res frag.Framing.chunk with
+                | Error _ -> Some Ingress.Bad_adu
+                | Ok adu -> deliver_adu t sh s adu)
               else begin
-                if st.Framing.duplicate_frags > dups0 then
-                  Obs.Counter.incr sh.ctr.c_dups;
-                (* A completing push may have surfaced a delivery-time
-                   drop (record auth): charge this datagram with it. *)
-                sh.pending_reason
-              end
-            end
-          end)
+                let r =
+                  match s.reasm with
+                  | Some r -> r
+                  | None ->
+                      let r =
+                        Framing.reassembler ~pool:sh.reasm_pool
+                          ~deliver:(fun adu ->
+                            sh.pending_reason <- deliver_adu t sh s adu)
+                          ()
+                      in
+                      s.reasm <- Some r;
+                      r
+                in
+                (* [push] reports malformed outcomes through its stats; the
+                   deltas attribute this datagram to exactly one reason. *)
+                let st = Framing.stats r in
+                let dups0 = st.Framing.duplicate_frags in
+                let corrupt0 = st.Framing.corrupt_adus in
+                let inconsistent0 = st.Framing.inconsistent_frags in
+                sh.pending_reason <- None;
+                Framing.push r frag;
+                if st.Framing.corrupt_adus > corrupt0 then Some Ingress.Bad_adu
+                else if st.Framing.inconsistent_frags > inconsistent0 then
+                  Some Ingress.Frag_header
+                else begin
+                  if st.Framing.duplicate_frags > dups0 then
+                    Obs.Counter.incr sh.ctr.c_dups;
+                  (* A completing push may have surfaced a delivery-time
+                     drop (record auth): charge this datagram with it. *)
+                  sh.pending_reason
+                end
+              end))
 
 let handle_control t sh now ~src ~src_port body =
   if
@@ -565,7 +549,7 @@ let handle_control t sh now ~src ~src_port body =
         | Error reason -> Some reason
         | Ok s ->
             s.last_rx <- now;
-            if s.total < 0 then s.total <- max total 0;
+            Rx.close s.rx total;
             (* A CLOSE landing after completion means our DONE was lost. *)
             if s.completed then send_done t sh s else maybe_complete t sh s;
             None)
@@ -576,23 +560,7 @@ let handle_control t sh now ~src ~src_port body =
         | Error reason -> Some reason
         | Ok s ->
             s.last_rx <- now;
-            List.iter
-              (fun i ->
-                (* Same admission window as fragments: forged GONE indices
-                   must not grow the ahead table or move [highest]. *)
-                if
-                  i >= 0
-                  && i < s.frontier + t.config.max_ahead_window
-                  && not (settled s i)
-                then begin
-                  Hashtbl.replace s.ahead i false;
-                  s.s_gone <- s.s_gone + 1;
-                  Obs.Counter.incr sh.ctr.c_gone;
-                  if i > s.highest then s.highest <- i
-                end)
-              indices;
-            advance s;
-            maybe_complete t sh s;
+            settle_gone t sh s sh.ctr.c_gone indices;
             None)
     | Some (Ctl.Nack _) | Some (Ctl.Done _) -> None
 
@@ -711,12 +679,7 @@ let pump t =
 (* ---- harvest: idle/lingering eviction + NACK repair ---- *)
 
 let repair t sh s now =
-  let bound = if s.total >= 0 then s.total else s.highest + 1 in
-  (* Clamp to the admission window: [total] is an attacker-supplied u32,
-     and an unclamped bound would turn the give-up loop below into a
-     4-billion-iteration stall on one hostile CLOSE. *)
-  let bound = min bound (s.frontier + t.config.max_ahead_window) in
-  if s.frontier < bound then begin
+  if Rx.frontier s.rx < Rx.horizon s.rx then begin
     let holdoff =
       t.config.nack_holdoff *. float_of_int (1 lsl min s.nack_tries 6)
     in
@@ -725,37 +688,22 @@ let repair t sh s now =
         (* Repair budget spent: declare the rest locally gone so the
            session can settle instead of hanging — the loss is reported
            in application terms, exactly like a sender GONE. *)
-        for i = s.frontier to bound - 1 do
-          if not (settled s i) then begin
-            Hashtbl.replace s.ahead i false;
-            s.s_gone <- s.s_gone + 1;
-            Obs.Counter.incr sh.ctr.c_gone_local
-          end
-        done;
-        advance s;
-        maybe_complete t sh s
+        settle_gone t sh s sh.ctr.c_gone_local
+          (Rx.missing s.rx ~cap:Rx.window)
       end
       else begin
         (* Fit the NACK in one pooled control buffer: 13-byte body header,
            4 bytes per index, 4-byte trailer. *)
         let cap = min 256 ((t.config.rx_buf_size - 17) / 4) in
-        let missing = ref [] and n = ref 0 in
-        let i = ref (bound - 1) in
-        while !i >= s.frontier && !n < cap do
-          if not (settled s !i) then begin
-            missing := !i :: !missing;
-            incr n
-          end;
-          decr i
-        done;
-        if !missing <> [] then begin
-          queue_ctl t sh ~dst:s.key.peer ~dst_port:s.key.peer_port (fun buf ->
-              Ctl.write_nack buf ~stream:s.key.stream ~have_below:s.frontier
-                !missing);
-          Obs.Counter.incr sh.ctr.c_nacks;
-          s.nack_tries <- s.nack_tries + 1;
-          s.last_nack <- now
-        end
+        match Rx.missing s.rx ~cap with
+        | [] -> ()
+        | missing ->
+            queue_ctl t sh ~dst:s.key.peer ~dst_port:s.key.peer_port (fun buf ->
+                Ctl.write_nack buf ~stream:s.key.stream
+                  ~have_below:(Rx.frontier s.rx) missing);
+            Obs.Counter.incr sh.ctr.c_nacks;
+            s.nack_tries <- s.nack_tries + 1;
+            s.last_nack <- now
       end
   end
 
@@ -880,8 +828,6 @@ let create ~sched ?io ?pool ?registry ?on_adu ?on_view ?on_complete
     invalid_arg "Server.create: max_sessions_per_shard";
   if config.rx_buf_size < Framing.fragment_header_size + Ctl.trailer_size then
     invalid_arg "Server.create: rx_buf_size";
-  if config.max_ahead_window < 1 then
-    invalid_arg "Server.create: max_ahead_window";
   let shards = Array.init config.shards (make_shard config registry) in
   let limits =
     {
@@ -1094,6 +1040,10 @@ let locate t ~peer ~peer_port ~stream =
     t.shards;
   !found
 
+let ahead_load s =
+  let d, g = Rx.ahead_counts s.rx in
+  d + g
+
 type session_view = {
   v_frontier : int;
   v_total : int;
@@ -1111,18 +1061,18 @@ let session_view t ~peer ~peer_port ~stream =
   | Some s ->
       Some
         {
-          v_frontier = s.frontier;
-          v_total = s.total;
-          v_delivered = s.s_delivered;
-          v_gone = s.s_gone;
+          v_frontier = Rx.frontier s.rx;
+          v_total = Rx.total s.rx;
+          v_delivered = Rx.delivered s.rx;
+          v_gone = Rx.gone s.rx;
           v_completed = s.completed;
-          v_ahead_load = Hashtbl.length s.ahead;
+          v_ahead_load = ahead_load s;
         }
 
 let max_ahead_load t =
   Array.fold_left
     (fun acc sh ->
       Hashtbl.fold
-        (fun _ s m -> max m (Hashtbl.length s.ahead))
+        (fun _ s m -> max m (ahead_load s))
         sh.sessions acc)
     0 t.shards

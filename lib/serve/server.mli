@@ -26,7 +26,9 @@
     creation and control traffic per peer through fixed-size {!Police}
     tables; and the engine runs an explicit load-state ladder
     (Normal/Shedding/Brownout, hysteresis over staging occupancy) that
-    tightens harvest timers and finally refuses new admissions. Every
+    tightens harvest timers and finally refuses new admissions. Each
+    session's stage 1 is one {!Rx} window, which forged indices and
+    CLOSE totals cannot stretch ([drop.window] for fragments). Every
     dropped datagram lands in exactly one reason-coded [drop.*] counter:
     per shard, [arrivals = accepted + Σ drops] once the queues drain. *)
 
@@ -81,10 +83,6 @@ type config = {
   ingress_validation : bool;  (** Stage-0 {!Ingress.validate} before
       demux (default true; false keeps only the legacy length checks —
       the clean-path A/B switch for the <3% overhead gate). *)
-  max_ahead_window : int;  (** Largest accepted distance of any index
-      (fragment or GONE) above a session's frontier; beyond it the
-      datagram is dropped ([drop.window]). Bounds the ahead table and the
-      repair scan against forged indices and hostile CLOSE totals. *)
   police_buckets : int;  (** Token buckets per shard per {!Police} table
       (fixed size, pre-allocated — never grows). *)
   admit_rate : float;  (** Session-creation tokens/second per peer bucket. *)

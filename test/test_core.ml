@@ -1635,6 +1635,165 @@ let test_playout_jitter_margin () =
   Alcotest.(check (float 1e-6)) "margin" 0.07
     (Stats.mean (Playout.stats p).Playout.early_margin)
 
+(* --- Rx: the stage-1 window against a sets-based model ---
+
+   Commands range over the whole u32 space a peer can name, plus indices
+   relative to the live frontier so the window's edges are hit after the
+   frontier has moved, not only at 0. *)
+
+type rx_index = Abs of int | Rel of int  (* Rel d = frontier + d *)
+type 'i rx_cmd = Admit of 'i | Settle of 'i * bool | Close of int
+
+let u32_max = 0xFFFF_FFFF
+
+let show_rx_index = function
+  | Abs i -> string_of_int i
+  | Rel d -> Printf.sprintf "frontier%+d" d
+
+let show_rx_cmd ix = function
+  | Admit i -> "admit " ^ ix i
+  | Settle (i, d) -> Printf.sprintf "settle %s ~delivered:%b" (ix i) d
+  | Close n -> Printf.sprintf "close %d" n
+
+let gen_rx_cmds =
+  let open QCheck.Gen in
+  let u32 = map (fun x -> Int32.to_int x land u32_max) ui32 in
+  let edge_offsets = Rx.[ window - 1; window; window + 1 ] in
+  let edge = oneofl (0 :: u32_max :: edge_offsets) in
+  let index =
+    frequency
+      [
+        (8, map (fun i -> Abs i) (int_bound 40));
+        (2, map (fun i -> Abs i) edge);
+        (1, map (fun i -> Abs i) u32);
+        (2, map (fun d -> Rel d) (int_range (-2) 3));
+        (2, map (fun d -> Rel d) (oneofl edge_offsets));
+      ]
+  in
+  let cmd =
+    frequency
+      [
+        (3, map (fun i -> Admit i) index);
+        (6, map2 (fun i d -> Settle (i, d)) index bool);
+        (1, map (fun n -> Close n) (oneof [ int_bound 60; edge; u32 ]));
+      ]
+  in
+  list_size (int_bound 80) cmd
+
+module IS = Set.Make (Int)
+
+(* The reference: settled indices as sets, no table, no window walk. *)
+type rx_model = {
+  m_delivered : IS.t;
+  m_gone : IS.t;
+  m_frontier : int;
+  m_highest : int;
+  m_total : int option;
+}
+
+let m_settled m i = i < 0 || IS.mem i m.m_delivered || IS.mem i m.m_gone
+
+let m_class m i =
+  if m_settled m i then Rx.Dup
+  else if i >= m.m_frontier + Rx.window then Rx.Beyond_window
+  else Rx.Fresh
+
+let m_step m = function
+  | Admit i -> (
+      match m_class m i with
+      | Rx.Fresh -> ({ m with m_highest = max m.m_highest i }, Some Rx.Fresh)
+      | c -> (m, Some c))
+  | Settle (i, delivered) -> (
+      match m_class m i with
+      | Rx.Fresh ->
+          let m =
+            if delivered then { m with m_delivered = IS.add i m.m_delivered }
+            else { m with m_gone = IS.add i m.m_gone }
+          in
+          let rec frontier f = if m_settled m f then frontier (f + 1) else f in
+          ( { m with m_frontier = frontier m.m_frontier;
+                     m_highest = max m.m_highest i },
+            Some Rx.Fresh )
+      | c -> (m, Some c))
+  | Close n ->
+      ({ m with m_total = (if m.m_total = None then Some n else m.m_total) }, None)
+
+let m_horizon m =
+  let bound = match m.m_total with Some n -> n | None -> m.m_highest + 1 in
+  min bound (m.m_frontier + Rx.window)
+
+let m_missing m ~cap =
+  let rec go i acc n =
+    if i >= m_horizon m || n = cap then List.rev acc
+    else if m_settled m i then go (i + 1) acc n
+    else go (i + 1) (i :: acc) (n + 1)
+  in
+  go m.m_frontier [] 0
+
+let prop_rx_model =
+  QCheck.Test.make ~name:"rx: window = sets model over the u32 range"
+    ~count:1000
+    (QCheck.make
+       ~print:(fun cmds ->
+         String.concat "; " (List.map (show_rx_cmd show_rx_index) cmds))
+       ~shrink:QCheck.Shrink.list gen_rx_cmds)
+    (fun cmds ->
+      let rx = Rx.create () in
+      let m0 =
+        { m_delivered = IS.empty; m_gone = IS.empty; m_frontier = 0;
+          m_highest = -1; m_total = None }
+      in
+      let resolve = function Abs i -> i | Rel d -> Rx.frontier rx + d in
+      let fail fmt = QCheck.Test.fail_reportf fmt in
+      List.fold_left
+        (fun m cmd ->
+          let cmd =
+            match cmd with
+            | Admit i -> Admit (resolve i)
+            | Settle (i, d) -> Settle (resolve i, d)
+            | Close n -> Close n
+          in
+          let before = Rx.frontier rx in
+          let got =
+            match cmd with
+            | Admit i -> Some (Rx.admit rx i)
+            | Settle (i, delivered) -> Some (Rx.settle rx i ~delivered)
+            | Close n ->
+                Rx.close rx n;
+                None
+          in
+          let m, want = m_step m cmd in
+          let f = Rx.frontier rx in
+          if got <> want then
+            fail "%s: wrong classification" (show_rx_cmd string_of_int cmd);
+          if f < before then fail "frontier moved back %d -> %d" before f;
+          if f <> m.m_frontier then fail "frontier %d, model %d" f m.m_frontier;
+          if Rx.total rx <> Option.value m.m_total ~default:(-1) then fail "total";
+          let d, g = Rx.ahead_counts rx in
+          if d + g >= Rx.window then fail "ahead table %d >= window" (d + g);
+          let above s = IS.cardinal (IS.filter (fun i -> i > f) s) in
+          if (d, g) <> (above m.m_delivered, above m.m_gone) then
+            fail "ahead counts (%d, %d)" d g;
+          (* Each index counts once, as delivered or as gone. *)
+          if Rx.delivered rx <> IS.cardinal m.m_delivered
+             || Rx.gone rx <> IS.cardinal m.m_gone
+          then fail "delivered/gone counted %d/%d" (Rx.delivered rx) (Rx.gone rx);
+          if Rx.horizon rx <> m_horizon m then fail "horizon %d" (Rx.horizon rx);
+          let miss = Rx.missing rx ~cap:64 in
+          if miss <> m_missing m ~cap:64 then fail "missing scan differs";
+          List.iter
+            (fun i ->
+              if Rx.settled rx i || i < f || i >= f + Rx.window then
+                fail "scanned index %d outside [%d, %d) or settled" i f
+                  (f + Rx.window))
+            miss;
+          let complete = match m.m_total with Some n -> f >= n | None -> false in
+          if Rx.complete rx <> complete then fail "complete = %b" (Rx.complete rx);
+          m)
+        m0 cmds
+      |> ignore;
+      true)
+
 let () =
   Alcotest.run "core"
     [
@@ -1702,6 +1861,7 @@ let () =
           Alcotest.test_case "no recovery" `Quick test_recovery_none;
           Alcotest.test_case "release below" `Quick test_recovery_release_below;
         ] );
+      ("rx", [ qcheck prop_rx_model ]);
       ( "alf-transport",
         [
           Alcotest.test_case "clean delivery" `Quick test_alf_clean_delivery;

@@ -449,6 +449,121 @@ let test_receiver_tables_stay_flat () =
     [ d; g; r ];
   w.w_teardown ()
 
+(* Forged stage-1 input against a live receiver. The CLOSE total and a
+   fragment's index are unauthenticated u32s (the CRC trailer is not a
+   MAC), so one forged datagram from the sender's own address must not
+   stretch the repair scan, the per-index repair table or a NACK past
+   [frontier + Rx.window]. The honest stream is paced over ~0.4 s, so
+   the forgery lands mid-stream and ahead of the sender's own CLOSE;
+   with 5% loss repair runs throughout, and every honest ADU must still
+   arrive byte-exact.
+   Returns the receiver so each case can check how its forgery ended. *)
+let forged_run ~forged =
+  let w = netsim_world ~loss:0.05 () in
+  let adus = 200 and adu_bytes = 1000 in
+  let payload i =
+    String.init adu_bytes (fun j -> Char.chr (((i * 131) + j) land 0xff))
+  in
+  let nacks = ref 0 and nacked_beyond = ref 0 in
+  let io_b =
+    {
+      w.w_io_b with
+      Dgram.send =
+        (fun ~dst ~dst_port ~src_port buf ->
+          (match Ctl.unseal (Some Checksum.Kind.Crc32) buf with
+          | Some body -> (
+              match Ctl.parse body with
+              | Some (Ctl.Nack { have_below; indices; _ }) ->
+                  incr nacks;
+                  List.iter
+                    (fun i ->
+                      if i >= have_below + Rx.window then incr nacked_beyond)
+                    indices
+              | _ -> ())
+          | None -> ());
+          w.w_io_b.Dgram.send ~dst ~dst_port ~src_port buf);
+    }
+  in
+  let delivered = ref 0 and mismatches = ref 0 in
+  let receiver =
+    Alf_transport.receiver_io ~sched:w.w_sched ~io:io_b ~port:7000 ~stream:1
+      ~deliver:(fun adu ->
+        incr delivered;
+        if Bytebuf.to_string adu.Adu.payload <> payload adu.Adu.name.Adu.index
+        then incr mismatches)
+      ()
+  in
+  let sender =
+    Alf_transport.sender_io ~sched:w.w_sched ~io:w.w_io_a ~peer:(w.w_peer ())
+      ~peer_port:7000 ~port:7001 ~stream:1 ~policy:Recovery.Transport_buffer
+      ~config:
+        { Alf_transport.default_sender_config with pace_bps = Some 4e6 }
+      ()
+  in
+  for i = 0 to adus - 1 do
+    Alf_transport.send_adu sender
+      (Adu.make (Adu.name ~stream:1 ~index:i ()) (Bytebuf.of_string (payload i)))
+  done;
+  Alf_transport.close sender;
+  w.w_run ~timeout:1.0 (fun () -> !delivered >= adus / 10);
+  Alcotest.(check bool) "forged mid-stream" true (!delivered < adus);
+  (* Spoofed from the sender's port, so repair keeps flowing to it. *)
+  ignore
+    (w.w_io_a.Dgram.send ~dst:(w.w_peer ()) ~dst_port:7000 ~src_port:7001
+       (Ctl.seal (Some Checksum.Kind.Crc32) forged));
+  let words0 = Gc.minor_words () and max_reqs = ref 0 in
+  (* [w_run] advances in 50 ms steps: 20 of them are one virtual second. *)
+  for _ = 1 to 20 do
+    w.w_run ~timeout:0.05 (fun () -> false);
+    let _, _, reqs = Alf_transport.receiver_table_sizes receiver in
+    if reqs > !max_reqs then max_reqs := reqs
+  done;
+  let words = Gc.minor_words () -. words0 in
+  Alcotest.(check int) "every honest ADU delivered" adus !delivered;
+  Alcotest.(check int) "byte exact" 0 !mismatches;
+  Alcotest.(check bool) "repair ran" true (!nacks > 0);
+  Alcotest.(check int) "no NACKed index at or beyond frontier + window" 0
+    !nacked_beyond;
+  Alcotest.(check bool)
+    (Printf.sprintf "repair table within the window (peak %d)" !max_reqs)
+    true (!max_reqs <= Rx.window);
+  (* Honest traffic plus window-bounded repair rounds; an unclamped walk
+     to the forged bound allocates several words per index per round. *)
+  Alcotest.(check bool)
+    (Printf.sprintf "minor words bounded (%.0f)" words)
+    true (words < 1e7);
+  w.w_teardown ();
+  receiver
+
+let test_forged_close_bounded () =
+  let receiver = forged_run ~forged:(Ctl.build_close ~stream:1 ~total:1_000_000) in
+  (* The first total wins: the receiver cannot tell this CLOSE from the
+     sender's, so it settles the forged range as gone, a window at a
+     time, instead of completing at 200. *)
+  Alcotest.(check bool) "forged total stands" false
+    (Alf_transport.complete receiver);
+  Alcotest.(check bool) "frontier past the honest stream" true
+    (Alf_transport.receiver_frontier receiver >= 200)
+
+let test_forged_index_bounded () =
+  let index = 1_000_000_000 in
+  let forged =
+    match
+      Framing.fragment_encoded ~mtu:1400 ~stream:1 ~index
+        (Adu.encode
+           (Adu.make (Adu.name ~stream:1 ~index ()) (Bytebuf.of_string "forged")))
+    with
+    | [ frag ] -> frag
+    | _ -> Alcotest.fail "forged ADU must be one fragment"
+  in
+  let receiver = forged_run ~forged in
+  Alcotest.(check int) "forged index dropped at the window" 1
+    (Alf_transport.receiver_stats receiver).Alf_transport.window_dropped;
+  Alcotest.(check bool) "honest stream completes" true
+    (Alf_transport.complete receiver);
+  Alcotest.(check (list int)) "nothing missing" []
+    (Alf_transport.missing receiver)
+
 (* Sender teardown: every exit path — DONE, kill, give-up — must leave
    all three sender tables (outq, queued fragments, gone-announced) and
    the retransmission store empty. *)
@@ -622,6 +737,10 @@ let () =
             test_no_callbacks_after_close;
           Alcotest.test_case "streaming receiver tables stay flat" `Quick
             test_receiver_tables_stay_flat;
+          Alcotest.test_case "forged CLOSE total stays in the window" `Quick
+            test_forged_close_bounded;
+          Alcotest.test_case "forged fragment index stays in the window" `Quick
+            test_forged_index_bounded;
         ] );
       ( "sender-teardown",
         [
