@@ -39,27 +39,29 @@ bench-quick:
 bench-smoke:
 	ALFNET_BENCH_QUOTA=0.05 dune exec bench/main.exe -- table1 ilp-fusion fused-convert ilp-parallel ilp-compile ilp-marshal schema-marshal secure-record
 
-# Quick perf gate: run the fusion experiments at a tiny quota, then fail
-# if fused does not beat serial (E2), the compiled 3-stage plan does not
-# beat serial layered execution by >= 2x (E14), or the fused marshal
-# does not beat the encode-then-checksum-then-copy composition by
-# >= 1.5x per codec (E15), or the schema-compiled marshal/lazy view
-# falls below the interpreters, allocates in steady state, or stops
-# hitting its program cache (E19). Ratios compare measurements within
-# one run, so the short quota does not skew them.
+# Quick perf gate: run the fusion experiments at a tiny quota, then check
+# the rows against perfcheck's groups of the same names — fail if fused
+# does not beat serial (E2), the compiled 3-stage plan does not beat
+# serial layered execution by >= 2x (E14), or the fused marshal does not
+# beat the encode-then-checksum-then-copy composition by >= 1.5x per
+# codec (E15), or the schema-compiled marshal/lazy view falls below the
+# interpreters, allocates in steady state, or stops hitting its program
+# cache (E19). Ratios compare measurements within one run, so the short
+# quota does not skew them.
 perf-smoke:
 	ALFNET_BENCH_QUOTA=0.05 ALFNET_BENCH_JSON=BENCH_smoke.json dune exec bench/main.exe -- ilp-fusion ilp-compile ilp-marshal schema-marshal
-	dune exec bench/perfcheck.exe -- BENCH_smoke.json
-	dune exec bench/perfcheck.exe -- --schema BENCH_smoke.json
+	dune exec bench/perfcheck.exe -- BENCH_smoke.json ilp-fusion ilp-compile ilp-marshal schema-marshal
 
 # The fused AEAD record layer (E20): marshal + ChaCha20 + Poly1305 +
 # CRC-32 framing in one pass must beat the layered reference stack
 # (per-layer byte-grain walks and PDU copies) by >= 1.5x on send and
-# >= 1.3x on receive, stay within noise of the word-grain layered
-# upper bound, and allocate nothing in steady state on either side.
+# >= 1.3x on receive (the receive row times the shipped path: the ADU
+# CRC walk, then the record open), stay within noise of the word-grain
+# layered upper bound, and allocate nothing in steady state on either
+# side.
 secure-smoke:
 	ALFNET_BENCH_QUOTA=0.05 ALFNET_BENCH_JSON=BENCH_secure_smoke.json dune exec bench/main.exe -- secure-record
-	dune exec bench/perfcheck.exe -- --secure BENCH_secure_smoke.json
+	dune exec bench/perfcheck.exe -- BENCH_secure_smoke.json secure-record
 
 # Real loopback UDP (E16): stream fused-send ADUs over actual sockets
 # via the Rt poll loop, race the same workload through the simulator,
@@ -67,13 +69,13 @@ secure-smoke:
 # path. Needs no privileges: everything stays on 127.0.0.1.
 bench-udp:
 	dune exec bin/alfnet.exe -- udp --bench --out BENCH_udp.json
-	dune exec bench/perfcheck.exe -- --udp BENCH_udp.json
+	dune exec bench/perfcheck.exe -- BENCH_udp.json udp
 
 # The quick E16 pass that rides in `make check`: smaller stream, same
 # invariants and zero-alloc gate.
 udp-smoke:
 	dune exec bin/alfnet.exe -- udp --bench --adus 2000 --out BENCH_udp_smoke.json
-	dune exec bench/perfcheck.exe -- --udp BENCH_udp_smoke.json
+	dune exec bench/perfcheck.exe -- BENCH_udp_smoke.json udp
 
 # The many-session engine (E17): sessions x domains scaling sweep over
 # netsim plus a full-count point on real loopback sockets, gated on
@@ -81,7 +83,7 @@ udp-smoke:
 # session count, and zero steady-state pool allocations.
 bench-serve:
 	dune exec bin/alfnet.exe -- serve --bench --sessions 100000 --out BENCH_scale.json
-	dune exec bench/perfcheck.exe -- --serve BENCH_scale.json
+	dune exec bench/perfcheck.exe -- BENCH_scale.json serve
 
 # The quick E17 pass that rides in `make check`: a few thousand
 # concurrent sessions through both backends, same invariants.
@@ -89,12 +91,12 @@ serve-smoke:
 	dune exec bin/alfnet.exe -- serve --backend both --sessions 4000
 
 # Adversarial ingress (E18): the full 10^5-session run on both backends
-# with >= 30% byzantine traffic mixed in, then the perfcheck gate over
+# with >= 30% byzantine traffic mixed in, then perfcheck's hostile group over
 # the written rows — honest sessions exact, pool budget flat, every
 # drop reason-coded, stage-0 validation under 3% of the clean path.
 bench-hostile:
 	dune exec bin/alfnet.exe -- serve --bench --hostile --sessions 100000 --out BENCH_hostile.json
-	dune exec bench/perfcheck.exe -- --hostile BENCH_hostile.json
+	dune exec bench/perfcheck.exe -- BENCH_hostile.json hostile
 
 # The quick E18 pass that rides in `make check`: both backends under the
 # byzantine mix at a few thousand sessions, same invariants.

@@ -1,376 +1,279 @@
-(* Performance gate over the machine-readable bench output
-   (BENCH_ilp.json): `make perf-smoke` runs a tiny-quota bench pass and
-   then this check. It fails (exit 1) when a fusion invariant the paper's
-   argument rests on has regressed:
+(* Performance gate over machine-readable bench output: one table of
+   checks, grouped by the row-name prefix they cover, and one interpreter.
 
-   - the fused copy+checksum loop must beat its serial composition
-     (E2, the original ILP claim);
-   - the compiled 3-stage plan (decrypt+checksum+deliver) must beat the
-     serial layered composition by at least 2x, and the per-byte
-     interpreter outright (E14, the plan compiler);
-   - the fused marshal+checksum+deliver pass must beat the serial
-     encode-then-checksum-then-copy composition by at least 1.5x, and
-     must not fall below the bare cursor encode at all — the paper's
-     28 -> 24 Mb/s conversion+checksum figure (E15, fused presentation
-     conversion), for both codecs. Relative to the bare in-place
-     marshal (no stages) the per-word stage dispatch may cost up to
-     30%: the paper measured 14% (24/28) against a conversion loop an
-     order of magnitude slower than ours, so the fixed stage cost is a
-     proportionally larger slice here.
+     perfcheck FILE GROUP...
+
+   runs every check of each named group against the JSON array in FILE,
+   prints one line per check, and exits 1 if any check fails — a row or
+   field it needs but cannot find counts as a failure. `make perf-smoke`,
+   `make secure-smoke`, `make udp-smoke`, `make bench-serve` and
+   `make bench-hostile` call it after writing their rows.
 
    Ratios are between measurements of the *same run*, so host speed and
-   quota cancel out.
+   quota cancel out. *)
 
-   With --schema it gates the E19 rows of the same file: the
-   schema-compiled fused marshal must not fall below the interpretive
-   fused marshal (nor may the cached entry point, beyond noise), the
-   lazy validate-view receive must not fall below the eager decode, both
-   directions must be allocation-free in steady state, and the
-   schema-program cache must hit at least as often as it misses.
+type cmp = Eq | Ge | Gt | Lt
 
-   With --secure it gates the E20 rows of the same file: the fused
-   marshal+AEAD+frame single pass must beat the serial
-   encrypt-then-MAC-then-checksum composition (the layered reference
-   stack, byte-grain per-layer walks plus per-layer PDU copies) by at
-   least 1.5x on send and 1.3x on receive, must stay within noise of
-   the word-grain layered upper bound (shared ChaCha20/Poly1305 compute
-   floors both sides, so the paper's own E15 fusion margin cannot
-   reappear here — the honest win is pass elimination plus word-grain
-   processing), and both record directions must be allocation-free in
-   steady state.
+(* What a field is compared with: a number, a boolean, or another field
+   of the same row. *)
+type bound = N of float | B of bool | F of string
 
-   With --udp it gates BENCH_udp.json (`alfnet udp --bench`) instead:
-   the fused send path must stay zero-allocation in steady state over
-   real loopback sockets (steady_allocs_per_adu = 0), hold the stream's
-   own invariants (ok = true), and both backends must post a positive
-   throughput.
+(* Which rows an [Every]/[Count] check ranges over: all rows in the
+   file, or those that carry a given field. *)
+type rows = All | Having of string
 
-   With --serve it gates BENCH_scale.json (`alfnet serve --bench`): every
-   sessions x domains point must hold the serve engine's invariants
-   (ok = true: every session DONE, delivered union gone = sent, peak
-   concurrency = the session count), post a positive throughput, and
-   stage a zero-steady-state-allocation data path
-   (pool_allocs_steady = 0, fallback_allocs = 0).
+type check =
+  | Ratio of string * string * float  (* mbps of one row / another >= floor *)
+  | Field of string * string * cmp * bound  (* a named row's field *)
+  | Every of rows * string * cmp * bound  (* each row's field *)
+  | Count of rows * int  (* at least this many rows *)
 
-   With --hostile it gates BENCH_hostile.json (`alfnet serve --bench
-   --hostile`): both backends must survive a >= 30% byzantine traffic
-   mix with every honest session completing exactly (ok = true covers
-   the exact delivered+gone accounting, flat pool budget, conservation
-   and reason-coded drop totals), zero dispatch errors, and the stage-0
-   validator's measured cost must stay under 3% of the clean run's wall
-   clock (the hostile/stage0-overhead row). *)
+let marshal_codec c =
+  let r m = Printf.sprintf "ilp-marshal/%s/%s" c m in
+  [
+    Ratio (r "fused", r "serial", 1.5);
+    Ratio (r "fused", r "encode-only", 0.8);
+    Ratio (r "fused", r "marshal-only", 0.7);
+  ]
 
-let die fmt =
-  Printf.ksprintf
-    (fun s ->
-      prerr_endline ("perfcheck: " ^ s);
-      exit 1)
-    fmt
+let groups =
+  [
+    (* E2, the original ILP claim: the fused copy+checksum loop must beat
+       its serial composition. *)
+    ("ilp-fusion", [ Ratio ("ilp-fusion/fused", "ilp-fusion/serial", 1.0) ]);
+    (* E14, the plan compiler: the compiled 3-stage plan
+       (decrypt+checksum+deliver) must beat the serial layered composition
+       by at least 2x, and the per-byte interpreter outright. *)
+    ( "ilp-compile",
+      [
+        Ratio ("ilp-compile/3stage/compiled", "ilp-compile/3stage/serial", 2.0);
+        Ratio
+          ("ilp-compile/3stage/compiled", "ilp-compile/3stage/interpreted", 1.0);
+      ] );
+    (* E15, fused presentation conversion, for both codecs: the fused
+       marshal+checksum+deliver pass must beat encode-then-checksum-then-
+       copy by at least 1.5x and not fall below the bare cursor encode
+       (the paper's 28 -> 24 Mb/s conversion+checksum figure). Against
+       the bare in-place marshal (no stages) the per-word stage dispatch
+       may cost up to 30%: the paper measured 14% (24/28) against a
+       conversion loop an order of magnitude slower than ours, so the
+       fixed stage cost is a proportionally larger slice here. *)
+    ("ilp-marshal", marshal_codec "xdr" @ marshal_codec "ber");
+    (* E19: the schema-compiled fused marshal must not fall below the
+       interpretive fused marshal (nor may the cached entry point, beyond
+       noise), the lazy validate-view receive must not fall below the
+       eager decode, both directions must be allocation-free in steady
+       state, and the schema-program cache must hit at least as often as
+       it misses. *)
+    ( "schema-marshal",
+      [
+        Ratio
+          ( "schema-marshal/xdr/compiled-fused",
+            "schema-marshal/xdr/interp-fused",
+            1.0 );
+        Ratio
+          ( "schema-marshal/xdr/compiled-cached-fused",
+            "schema-marshal/xdr/interp-fused",
+            0.95 );
+        Ratio
+          ("schema-marshal/xdr/view-fused", "schema-marshal/xdr/decode-fused", 1.0);
+        Field ("schema-marshal/gate", "steady_allocs", Eq, N 0.);
+        Field ("schema-marshal/gate", "rx_steady_allocs", Eq, N 0.);
+        Field ("schema-marshal/gate", "cache_hits", Ge, F "cache_misses");
+      ] );
+    (* E20: the fused marshal+AEAD+frame single pass must beat the
+       layered reference stack (byte-grain per-layer walks plus per-layer
+       PDU copies) by at least 1.5x on send and 1.3x on receive, and stay
+       within noise of the word-grain layered upper bound (shared
+       ChaCha20/Poly1305 compute floors both sides, so the honest win is
+       pass elimination plus word-grain processing); both record
+       directions must be allocation-free in steady state. *)
+    ( "secure-record",
+      [
+        Ratio ("secure-record/xdr/fused", "secure-record/xdr/serial", 1.5);
+        Ratio ("secure-record/xdr/fused", "secure-record/xdr/serial-words", 0.85);
+        Ratio ("secure-record/xdr/open-fused", "secure-record/xdr/open-serial", 1.3);
+        Ratio ("secure-record/xdr/open-fused", "secure-record/xdr/open-words", 0.8);
+        Field ("secure-record/gate", "steady_allocs", Eq, N 0.);
+        Field ("secure-record/gate", "rx_steady_allocs", Eq, N 0.);
+      ] );
+    (* E16 (`alfnet udp --bench`): the fused send path must stay
+       zero-allocation in steady state over real loopback sockets, hold
+       the stream's own invariants, and both backends must post a
+       positive throughput. *)
+    ( "udp",
+      [
+        Field ("udp/fused-send", "mbps", Gt, N 0.);
+        Field ("netsim/fused-send", "mbps", Gt, N 0.);
+        Field ("udp/fused-send", "steady_allocs_per_adu", Eq, N 0.);
+        Field ("udp/fused-send", "ok", Eq, B true);
+      ] );
+    (* E17 (`alfnet serve --bench`): every sessions x domains point must
+       hold the serve engine's invariants (ok: every session DONE,
+       delivered union gone = sent, peak concurrency = the session count),
+       post a positive throughput, and stage a zero-steady-state-allocation
+       data path. *)
+    ( "serve",
+      [
+        Count (All, 1);
+        Every (All, "ok", Eq, B true);
+        Every (All, "adus_per_s", Gt, N 0.);
+        Every (All, "pool_allocs_steady", Eq, N 0.);
+        Every (All, "fallback_allocs", Eq, N 0.);
+      ] );
+    (* E18 (`alfnet serve --bench --hostile`): both backends must survive
+       a >= 30% byzantine traffic mix with every honest session completing
+       exactly (ok covers the exact delivered+gone accounting, flat pool
+       budget, conservation and reason-coded drop totals) and zero
+       dispatch errors, and the stage-0 validator's measured cost must
+       stay under 3% of the clean run's wall clock. *)
+    ( "hostile",
+      [
+        Count (All, 1);
+        Every (All, "ok", Eq, B true);
+        Count (Having "hostile_ratio", 2);
+        Every (Having "hostile_ratio", "hostile_ratio", Ge, N 0.3);
+        Every (Having "hostile_ratio", "dispatch_errors", Eq, N 0.);
+        Field ("hostile/stage0-overhead", "overhead_frac", Lt, N 0.03);
+      ] );
+  ]
+
+let name_of row =
+  match Obs.Json.member "name" row with Some (Obs.Json.Str n) -> n | _ -> "?"
+
+let find rows name = List.find_opt (fun r -> name_of r = name) rows
+
+let cmp_name = function Eq -> "=" | Ge -> ">=" | Gt -> ">" | Lt -> "<"
+
+let bound_name = function
+  | N v -> Printf.sprintf "%g" v
+  | B b -> string_of_bool b
+  | F k -> k
+
+let value_name = function
+  | Obs.Json.Num v -> Printf.sprintf "%g" v
+  | Obs.Json.Bool b -> string_of_bool b
+  | _ -> "?"
+
+(* [(ok, detail)]; a field the check needs but the row lacks fails it. *)
+let compare_field row key cmp bound =
+  let get k =
+    match Obs.Json.member k row with
+    | Some ((Obs.Json.Num _ | Obs.Json.Bool _) as v) -> Some v
+    | _ -> None
+  in
+  let against =
+    match bound with
+    | N v -> Some (Obs.Json.Num v)
+    | B b -> Some (Obs.Json.Bool b)
+    | F k -> get k
+  in
+  match (get key, against) with
+  | Some v, Some w ->
+      let ok =
+        match (cmp, v, w) with
+        | Eq, _, _ -> v = w
+        | Ge, Obs.Json.Num a, Obs.Json.Num b -> a >= b
+        | Gt, Obs.Json.Num a, Obs.Json.Num b -> a > b
+        | Lt, Obs.Json.Num a, Obs.Json.Num b -> a < b
+        | _ -> false
+      in
+      (ok, value_name v)
+  | _ -> (false, "field missing")
+
+let selected rows = function
+  | All -> rows
+  | Having k -> List.filter (fun r -> Obs.Json.member k r <> None) rows
+
+let having = function All -> "" | Having k -> " with " ^ k
+
+(* One line per check: its label, what was measured, and the verdict. *)
+let run_check rows check =
+  let label, (ok, detail) =
+    match check with
+    | Ratio (num, den, floor) -> (
+        let mbps name =
+          match Option.map (Obs.Json.member "mbps") (find rows name) with
+          | Some (Some (Obs.Json.Num v)) -> Some v
+          | _ -> None
+        in
+        ( Printf.sprintf "%s / %s >= %.2fx" num den floor,
+          match (mbps num, mbps den) with
+          | Some a, Some b -> (a /. b >= floor, Printf.sprintf "%.2fx" (a /. b))
+          | None, _ -> (false, Printf.sprintf "no measurement named %S" num)
+          | _, None -> (false, Printf.sprintf "no measurement named %S" den) ))
+    | Field (row, key, cmp, bound) ->
+        ( Printf.sprintf "%s %s %s %s" row key (cmp_name cmp) (bound_name bound),
+          match find rows row with
+          | None -> (false, Printf.sprintf "no row named %S" row)
+          | Some r -> compare_field r key cmp bound )
+    | Every (which, key, cmp, bound) ->
+        let over = selected rows which in
+        ( Printf.sprintf "every row%s: %s %s %s" (having which) key
+            (cmp_name cmp) (bound_name bound),
+          match
+            List.find_map
+              (fun r ->
+                match compare_field r key cmp bound with
+                | true, _ -> None
+                | false, v -> Some (Printf.sprintf "%s in %s" v (name_of r)))
+              over
+          with
+          | None -> (true, Printf.sprintf "%d rows" (List.length over))
+          | Some bad -> (false, bad) )
+    | Count (which, n) ->
+        let k = List.length (selected rows which) in
+        ( Printf.sprintf "at least %d row(s)%s" n (having which),
+          (k >= n, Printf.sprintf "%d rows" k) )
+  in
+  Printf.printf "perfcheck: %-72s %s  %s\n" label detail
+    (if ok then "ok" else "FAIL");
+  ok
 
 let () =
-  let args = List.tl (Array.to_list Sys.argv) in
-  let udp_mode = List.mem "--udp" args in
-  let serve_mode = List.mem "--serve" args in
-  let hostile_mode = List.mem "--hostile" args in
-  let schema_mode = List.mem "--schema" args in
-  let secure_mode = List.mem "--secure" args in
-  let path =
-    match
-      List.filter
-        (fun a ->
-          a <> "--udp" && a <> "--serve" && a <> "--hostile" && a <> "--schema"
-          && a <> "--secure")
-        args
-    with
-    | p :: _ -> p
-    | [] ->
-        if hostile_mode then "BENCH_hostile.json"
-        else if serve_mode then "BENCH_scale.json"
-        else if udp_mode then "BENCH_udp.json"
-        else "BENCH_ilp.json"
+  let usage () =
+    prerr_endline
+      ("usage: perfcheck FILE GROUP...  (groups: "
+      ^ String.concat ", " (List.map fst groups)
+      ^ ")");
+    exit 2
   in
-  let text =
-    try In_channel.with_open_text path In_channel.input_all
-    with Sys_error msg -> die "cannot read %s (%s)" path msg
+  let path, names =
+    match List.tl (Array.to_list Sys.argv) with
+    | path :: (_ :: _ as names) -> (path, names)
+    | _ -> usage ()
+  in
+  let checks =
+    List.concat_map
+      (fun g ->
+        match List.assoc_opt g groups with
+        | Some cs -> cs
+        | None ->
+            prerr_endline ("perfcheck: unknown group " ^ g);
+            usage ())
+      names
   in
   let rows =
-    match Obs.Json.parse text with
-    | Ok (Obs.Json.Arr rows) -> rows
-    | Ok _ -> die "%s: expected a top-level JSON array" path
-    | Error e -> die "%s: %s" path e
+    match In_channel.with_open_text path In_channel.input_all with
+    | exception Sys_error msg -> Error ("cannot read: " ^ msg)
+    | text -> (
+        match Obs.Json.parse text with
+        | Ok (Obs.Json.Arr rows) -> Ok rows
+        | Ok _ -> Error "expected a top-level JSON array"
+        | Error e -> Error e)
   in
-  let mbps name =
-    let found =
-      List.find_map
-        (fun row ->
-          match (Obs.Json.member "name" row, Obs.Json.member "mbps" row) with
-          | Some (Obs.Json.Str n), Some (Obs.Json.Num v) when n = name ->
-              Some v
-          | _ -> None)
-        rows
-    in
-    match found with
-    | Some v -> v
-    | None -> die "%s: no measurement named %S" path name
-  in
-  let field row_name key =
-    let found =
-      List.find_map
-        (fun row ->
-          match Obs.Json.member "name" row with
-          | Some (Obs.Json.Str n) when n = row_name -> Obs.Json.member key row
-          | _ -> None)
-        rows
-    in
-    match found with
-    | Some v -> v
-    | None -> die "%s: row %S has no field %S" path row_name key
-  in
-  if schema_mode then begin
-    (* E19: the schema compiler must pay for itself. The compiled fused
-       marshal may not fall below the interpretive fused marshal (that
-       would mean the op-program is slower than tag dispatch), the cache
-       lookup per call must stay in the noise, the lazy validate-view
-       receive may not fall below the eager decode, both directions must
-       be allocation-free in steady state, and the schema-program cache
-       must actually hit. *)
-    let failures = ref 0 in
-    let check label num den floor =
-      let r = mbps num /. mbps den in
-      let ok = r >= floor in
-      if not ok then incr failures;
-      Printf.printf "perfcheck: %-44s %6.2fx  (floor %.2fx)  %s\n" label r
-        floor
-        (if ok then "ok" else "FAIL")
-    in
-    check "schema compiled vs interpreted fused" "schema-marshal/xdr/compiled-fused"
-      "schema-marshal/xdr/interp-fused" 1.0;
-    check "schema cached-lookup vs interpreted fused"
-      "schema-marshal/xdr/compiled-cached-fused"
-      "schema-marshal/xdr/interp-fused" 0.95;
-    check "schema lazy view vs eager decode" "schema-marshal/xdr/view-fused"
-      "schema-marshal/xdr/decode-fused" 1.0;
-    let gate = "schema-marshal/gate" in
-    let num key =
-      match field gate key with
-      | Obs.Json.Num v -> v
-      | _ -> die "%s: %S field %S is not a number" path gate key
-    in
-    let tx = num "steady_allocs" and rx = num "rx_steady_allocs" in
-    if tx <> 0.0 then begin
-      incr failures;
-      Printf.printf
-        "perfcheck: compiled marshal allocated %.0f Bytebufs in steady state  FAIL\n"
-        tx
-    end;
-    if rx <> 0.0 then begin
-      incr failures;
-      Printf.printf
-        "perfcheck: lazy receive allocated %.0f Bytebufs in steady state  FAIL\n"
-        rx
-    end;
-    let hits = num "cache_hits" and misses = num "cache_misses" in
-    if hits < misses then begin
-      incr failures;
-      Printf.printf
-        "perfcheck: schema cache hit %.0f / missed %.0f — compiling more than \
-         reusing  FAIL\n"
-        hits misses
-    end;
-    if !failures > 0 then die "%d schema invariant(s) regressed in %s" !failures path;
-    Printf.printf
-      "perfcheck: schema-compiled presentation invariants hold in %s (cache \
-       %.0f hits / %.0f misses, zero steady-state allocations)\n"
-      path hits misses;
-    exit 0
-  end;
-  if secure_mode then begin
-    (* E20: the fused AEAD record layer must pay for itself. The
-       marshal+seal+frame single pass vs the layered reference stack is
-       the acceptance headline; the word-grain rows guard against the
-       fused dispatch itself regressing (both sides share the
-       ChaCha20/Poly1305 compute floor, so those ratios live near 1x by
-       construction); the gate row pins the zero-allocation contract. *)
-    let failures = ref 0 in
-    let check label num den floor =
-      let r = mbps num /. mbps den in
-      let ok = r >= floor in
-      if not ok then incr failures;
-      Printf.printf "perfcheck: %-44s %6.2fx  (floor %.2fx)  %s\n" label r
-        floor
-        (if ok then "ok" else "FAIL")
-    in
-    check "secure fused vs serial layered stack" "secure-record/xdr/fused"
-      "secure-record/xdr/serial" 1.5;
-    check "secure fused vs word-grain layered" "secure-record/xdr/fused"
-      "secure-record/xdr/serial-words" 0.85;
-    check "secure rx fused vs serial layered" "secure-record/xdr/open-fused"
-      "secure-record/xdr/open-serial" 1.3;
-    check "secure rx fused vs word-grain layered"
-      "secure-record/xdr/open-fused" "secure-record/xdr/open-words" 0.8;
-    let gate = "secure-record/gate" in
-    let num key =
-      match field gate key with
-      | Obs.Json.Num v -> v
-      | _ -> die "%s: %S field %S is not a number" path gate key
-    in
-    let tx = num "steady_allocs" and rx = num "rx_steady_allocs" in
-    if tx <> 0.0 then begin
-      incr failures;
-      Printf.printf
-        "perfcheck: fused seal allocated %.0f Bytebufs in steady state  FAIL\n"
-        tx
-    end;
-    if rx <> 0.0 then begin
-      incr failures;
-      Printf.printf
-        "perfcheck: record open allocated %.0f Bytebufs in steady state  FAIL\n"
-        rx
-    end;
-    if !failures > 0 then
-      die "%d secure-record invariant(s) regressed in %s" !failures path;
-    Printf.printf
-      "perfcheck: secure-record invariants hold in %s (zero steady-state \
-       allocations on seal and open)\n"
-      path;
-    exit 0
-  end;
-  if hostile_mode then begin
-    if rows = [] then die "%s: no measurements" path;
-    let str row k =
-      match Obs.Json.member k row with Some (Obs.Json.Str s) -> s | _ -> "?"
-    in
-    let num row k name =
-      match Obs.Json.member k row with
-      | Some (Obs.Json.Num v) -> v
-      | _ -> die "%s: row %S has no numeric %S" path name k
-    in
-    let require_ok row name =
-      match Obs.Json.member "ok" row with
-      | Some (Obs.Json.Bool true) -> ()
-      | _ -> die "%s violated the adversarial-ingress invariants (ok = false)" name
-    in
-    let hostile_rows = ref 0 and overhead = ref None in
-    List.iter
-      (fun row ->
-        let name = str row "name" in
-        require_ok row name;
-        if Obs.Json.member "hostile_ratio" row <> None then begin
-          incr hostile_rows;
-          let ratio = num row "hostile_ratio" name in
-          if ratio < 0.3 then
-            die "%s ran only %.0f%% byzantine traffic (need >= 30%%)" name
-              (100.0 *. ratio);
-          let de = num row "dispatch_errors" name in
-          if de <> 0.0 then die "%s leaked %.0f dispatch errors" name de
-        end;
-        if name = "hostile/stage0-overhead" then
-          overhead := Some (num row "overhead_frac" name))
-      rows;
-    if !hostile_rows < 2 then
-      die "%s: expected hostile rows for both backends, found %d" path
-        !hostile_rows;
-    (match !overhead with
-    | None -> die "%s: no hostile/stage0-overhead row" path
-    | Some f ->
-        if f >= 0.03 then
-          die
-            "stage-0 validation costs %.1f%% of the clean path (budget 3%%)"
-            (100.0 *. f));
-    Printf.printf
-      "perfcheck: hostile gate holds over %d rows in %s — honest sessions \
-       exact under >= 30%% byzantine traffic, stage-0 overhead %.2f%% of \
-       the clean path\n"
-      (List.length rows) path
-      (match !overhead with Some f -> 100.0 *. f | None -> 0.0);
-    exit 0
-  end;
-  if serve_mode then begin
-    if rows = [] then die "%s: no measurements" path;
-    let str row k =
-      match Obs.Json.member k row with Some (Obs.Json.Str s) -> s | _ -> "?"
-    in
-    let num row k name =
-      match Obs.Json.member k row with
-      | Some (Obs.Json.Num v) -> v
-      | _ -> die "%s: row %S has no numeric %S" path name k
-    in
-    let sessions_max = ref 0.0 and peak = ref 0.0 in
-    List.iter
-      (fun row ->
-        let name = str row "name" in
-        (match Obs.Json.member "ok" row with
-        | Some (Obs.Json.Bool true) -> ()
-        | _ -> die "%s violated the serve invariants (ok = false)" name);
-        let aps = num row "adus_per_s" name in
-        if aps <= 0.0 then die "%s posted %.1f ADUs/s" name aps;
-        let steady = num row "pool_allocs_steady" name in
-        if steady <> 0.0 then
-          die "%s allocated %.0f pool buffers in steady state" name steady;
-        let fallback = num row "fallback_allocs" name in
-        if fallback <> 0.0 then
-          die "%s fell back to %.0f heap allocations" name fallback;
-        let s = num row "sessions" name in
-        if s > !sessions_max then sessions_max := s;
-        let p = num row "peak_sessions" name in
-        if p > !peak then peak := p)
-      rows;
-    Printf.printf
-      "perfcheck: serve gate holds over %d points in %s — up to %.0f \
-       concurrent sessions (peak live %.0f), zero steady-state allocations\n"
-      (List.length rows) path !sessions_max !peak;
-    exit 0
-  end;
-  if udp_mode then begin
-    let udp = mbps "udp/fused-send" and sim = mbps "netsim/fused-send" in
-    if udp <= 0.0 then die "udp/fused-send throughput is %.2f Mb/s" udp;
-    if sim <= 0.0 then die "netsim/fused-send throughput is %.2f Mb/s" sim;
-    (match field "udp/fused-send" "steady_allocs_per_adu" with
-    | Obs.Json.Num 0.0 -> ()
-    | Obs.Json.Num a ->
-        die "fused UDP send path allocated %.3f Bytebufs/ADU in steady state"
-          a
-    | _ -> die "steady_allocs_per_adu is not a number");
-    (match field "udp/fused-send" "ok" with
-    | Obs.Json.Bool true -> ()
-    | _ -> die "udp stream violated its own invariants (ok = false)");
-    Printf.printf
-      "perfcheck: udp %.1f Mb/s vs netsim %.1f Mb/s, zero steady-state \
-       allocations — gate holds in %s\n"
-      udp sim path;
-    exit 0
-  end;
-  let failures = ref 0 in
-  let check label num den floor =
-    let r = mbps num /. mbps den in
-    let ok = r >= floor in
-    if not ok then incr failures;
-    Printf.printf "perfcheck: %-44s %6.2fx  (floor %.2fx)  %s\n" label r floor
-      (if ok then "ok" else "FAIL")
-  in
-  check "ilp-fusion fused vs serial" "ilp-fusion/fused" "ilp-fusion/serial"
-    1.0;
-  check "ilp-compile 3stage compiled vs serial" "ilp-compile/3stage/compiled"
-    "ilp-compile/3stage/serial" 2.0;
-  check "ilp-compile 3stage compiled vs interpreted"
-    "ilp-compile/3stage/compiled" "ilp-compile/3stage/interpreted" 1.0;
-  List.iter
-    (fun codec ->
-      check
-        (Printf.sprintf "ilp-marshal %s fused vs serial" codec)
-        (Printf.sprintf "ilp-marshal/%s/fused" codec)
-        (Printf.sprintf "ilp-marshal/%s/serial" codec)
-        1.5;
-      check
-        (Printf.sprintf "ilp-marshal %s fused vs encode-only" codec)
-        (Printf.sprintf "ilp-marshal/%s/fused" codec)
-        (Printf.sprintf "ilp-marshal/%s/encode-only" codec)
-        0.8;
-      check
-        (Printf.sprintf "ilp-marshal %s fused vs marshal-only" codec)
-        (Printf.sprintf "ilp-marshal/%s/fused" codec)
-        (Printf.sprintf "ilp-marshal/%s/marshal-only" codec)
-        0.7)
-    [ "xdr"; "ber" ];
-  if !failures > 0 then die "%d invariant(s) regressed in %s" !failures path;
-  Printf.printf "perfcheck: all fusion invariants hold in %s\n" path
+  match rows with
+  | Error e ->
+      Printf.eprintf "perfcheck: %s: %s\n" path e;
+      exit 1
+  | Ok rows ->
+      let failed =
+        List.length (List.filter (fun c -> not (run_check rows c)) checks)
+      in
+      if failed > 0 then begin
+        Printf.eprintf "perfcheck: %d of %d check(s) failed in %s (%s)\n" failed
+          (List.length checks) path (String.concat " " names);
+        exit 1
+      end;
+      Printf.printf "perfcheck: all %d check(s) hold in %s (%s)\n"
+        (List.length checks) path (String.concat " " names)
