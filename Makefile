@@ -8,10 +8,10 @@ all: build
 # (E2/E14/E15 ratios plus the E19 schema-compiler gate at a tiny
 # quota), the fused AEAD record-layer gate (E20), the real-socket
 # loopback self-test with its zero-allocation gate (E16), the sharded
-# many-session engine self-test on both backends (E17), and the
-# adversarial-ingress self-test under byzantine load (E18), the smoke
-# pass of the end-to-end benchmark (perfbench/), and the examples, each
-# of which exits non-zero when its run goes wrong.
+# many-session engine self-test on both backends with its heap-words
+# bound (E17), the adversarial-ingress self-test under byzantine load
+# (E18), the smoke pass of the end-to-end benchmark (perfbench/), and the
+# examples, each of which exits non-zero when its run goes wrong.
 check: test perf-smoke secure-smoke udp-smoke serve-smoke hostile-smoke perfbench-check examples
 
 build:
@@ -80,15 +80,20 @@ udp-smoke:
 # The many-session engine (E17): sessions x domains scaling sweep over
 # netsim plus a full-count point on real loopback sockets, gated on
 # every-session-DONE, delivered union gone = sent, peak concurrency =
-# session count, and zero steady-state pool allocations.
+# session count, zero steady-state pool allocations, and heap words per
+# delivered ADU under each backend's bound.
 bench-serve:
 	dune exec bin/alfnet.exe -- serve --bench --sessions 100000 --out BENCH_scale.json
 	dune exec bench/perfcheck.exe -- BENCH_scale.json serve
 
 # The quick E17 pass that rides in `make check`: a few thousand
-# concurrent sessions through both backends, same invariants.
+# concurrent sessions through both backends, same invariants; then the
+# bench sweep at the same size, gated by perfcheck's serve group — which
+# also bounds heap words per delivered ADU on each backend.
 serve-smoke:
 	dune exec bin/alfnet.exe -- serve --backend both --sessions 4000
+	dune exec bin/alfnet.exe -- serve --bench --sessions 4000 --out BENCH_serve_smoke.json
+	dune exec bench/perfcheck.exe -- BENCH_serve_smoke.json serve
 
 # Adversarial ingress (E18): the full 10^5-session run on both backends
 # with >= 30% byzantine traffic mixed in, then perfcheck's hostile group over

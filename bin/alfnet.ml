@@ -461,7 +461,7 @@ let run_parallel domains n_adus adu_size plan_name =
       Par.Pool.with_pool ~domains (fun pool ->
           Ilp_par.run ~pool ~dst ~plan:plan_of_name adus)
     in
-    let dt = (Obs.Clock.now_ns () -. t0) /. 1e9 in
+    let dt = float_of_int (Obs.Clock.now_ns () - t0) /. 1e9 in
     let bytes = n_adus * adu_size in
     Printf.printf "processed %d bytes in %.3f ms (%.1f Mb/s)\n" bytes
       (dt *. 1000.0)
@@ -585,7 +585,7 @@ let race ~bytes ~passes name f =
   while !dt < 5e7 do
     ignore (f ());
     incr runs;
-    dt := Obs.Clock.now_ns () -. t0
+    dt := float_of_int (Obs.Clock.now_ns () - t0)
   done;
   let mbps = 8.0 *. float_of_int bytes /. (!dt /. float_of_int !runs) *. 1000.0 in
   Printf.printf "  %-38s %10.1f Mb/s (%d passes over the data)\n" name mbps
@@ -1227,6 +1227,7 @@ type serve_report = {
   sv_arrivals : int;
   sv_dropped : int;
   sv_steady_allocs : int;  (* data-pool allocations inside the window *)
+  sv_heap_words_per_adu : float;  (* minor-heap words, all domains *)
   sv_fallback_allocs : int;
   sv_max_ahead : int;
   sv_counter_sum_ok : bool;
@@ -1246,12 +1247,12 @@ let pp_serve_report ppf r =
   Format.fprintf ppf
     "serve/%s: %d sessions x %d ADUs x %dB  %d shards/%d domains  %.2fs  \
      %.0f ADU/s  %.1f Mb/s  peak live %d  done %d  delivered %d  gone %d  \
-     dropped %d  steady allocs %d  fallback %d  max ahead %d  obs sums %b  \
-     finished %b"
+     dropped %d  steady allocs %d  heap words/ADU %.1f  fallback %d  max \
+     ahead %d  obs sums %b  finished %b"
     r.sv_backend r.sv_sessions r.sv_adus r.sv_payload r.sv_shards r.sv_domains
     r.sv_wall_s r.sv_adus_per_s r.sv_mbps r.sv_peak_live r.sv_done
     r.sv_delivered r.sv_gone r.sv_dropped r.sv_steady_allocs
-    r.sv_fallback_allocs r.sv_max_ahead r.sv_counter_sum_ok r.sv_finished
+    r.sv_heap_words_per_adu r.sv_fallback_allocs r.sv_max_ahead r.sv_counter_sum_ok r.sv_finished
 
 (* Cross-check the Obs wiring: the per-shard registry counters, summed,
    must reproduce the engine's programmatic totals. *)
@@ -1314,6 +1315,8 @@ let drive_serve b ~sessions ~adus ~payload ~shards ~domains
   and window_allocs = ref 0 in
   let emitted = ref 0 in
   let peak_live = ref 0 in
+  let minor_words () = (Gc.quick_stat ()).Gc.minor_words in
+  let words0 = minor_words () in
   let t0 = Unix.gettimeofday () in
   let rounds = ref 0 in
   let stalls = ref 0 in
@@ -1355,6 +1358,7 @@ let drive_serve b ~sessions ~adus ~payload ~shards ~domains
   turn ();
   Serve.pump server;
   let wall = Unix.gettimeofday () -. t0 in
+  let words = minor_words () -. words0 in
   let totals = Serve.totals server in
   let gstats = Loadgen.stats gen in
   let delivered = totals.Serve.delivered in
@@ -1381,6 +1385,7 @@ let drive_serve b ~sessions ~adus ~payload ~shards ~domains
     sv_arrivals = totals.Serve.arrivals;
     sv_dropped = totals.Serve.dropped + gstats.Loadgen.send_failed;
     sv_steady_allocs = !window_allocs;
+    sv_heap_words_per_adu = words /. float_of_int (max 1 delivered);
     sv_fallback_allocs = totals.Serve.fallback_allocs;
     sv_max_ahead = Serve.max_ahead_load server;
     sv_counter_sum_ok = obs_sums_match registry server;
@@ -1569,6 +1574,7 @@ let hostile_row r hx =
       ("pool_growth", i hx.hx_pool_growth);
       ("max_load_state", i hx.hx_max_load_state);
       ("steady_allocs", i r.sv_steady_allocs);
+      ("heap_words_per_adu", Obs.Json.Num r.sv_heap_words_per_adu);
       ("drop_account_ok", Obs.Json.Bool hx.hx_drop_account_ok);
       ("conservation_ok", Obs.Json.Bool hx.hx_conservation_ok);
       ("obs_sums_ok", Obs.Json.Bool r.sv_counter_sum_ok);
@@ -1811,6 +1817,7 @@ let serve_row r =
       ("gone", i r.sv_gone);
       ("dropped", i r.sv_dropped);
       ("pool_allocs_steady", i r.sv_steady_allocs);
+      ("heap_words_per_adu", Obs.Json.Num r.sv_heap_words_per_adu);
       ("fallback_allocs", i r.sv_fallback_allocs);
       ("max_ahead", i r.sv_max_ahead);
       ("obs_sums_ok", Obs.Json.Bool r.sv_counter_sum_ok);

@@ -81,11 +81,11 @@ let auth_corrupting_dgram ~rng ~rate ~integrity (d : Alf_core.Dgram.t) =
       let body = Bytebuf.length buf - trailer in
       if body <= adu_pos + Adu.header_size + Secure.Record.overhead then buf
       else
-        match Framing.parse_fragment_res (Bytebuf.take buf body) with
-        | Error _ -> buf
-        | Ok f ->
-            if f.Framing.nfrags <> 1 || Bytebuf.length f.Framing.chunk < body - adu_pos
-            then buf
+        let f = Framing.fields () in
+        match Framing.read_fragment f buf ~len:body with
+        | Some _ -> buf
+        | None ->
+            if f.Framing.h_nfrags <> 1 then buf
             else begin
               let buf = Bytebuf.copy buf in
               (* One bit, somewhere in the 16-byte tag at the very end of

@@ -24,6 +24,11 @@ val feed_block64 : state -> Bytes.t -> int -> state
 val feed : state -> Bytebuf.t -> state
 val feed_sub : state -> Bytebuf.t -> pos:int -> len:int -> state
 val finish : state -> int32
+
+val finish_int : state -> int
+(** The finished CRC as a non-negative int in [0, 2³²): {!finish}
+    without the boxed [int32], for per-datagram paths. *)
+
 val digest : Bytebuf.t -> int32
 val digest_string : string -> int32
 

@@ -30,6 +30,12 @@ let digest kind buf =
   | Adler32 -> int_of_int32 (Adler32.digest buf)
   | Crc32 -> int_of_int32 (Crc32.digest buf)
 
+let digest_sub kind buf ~pos ~len =
+  match kind with
+  | Crc32 -> Crc32.finish_int (Crc32.feed_sub Crc32.init buf ~pos ~len)
+  | Internet | Fletcher16 | Fletcher32 | Adler32 ->
+      digest kind (Bytebuf.sub buf ~pos ~len)
+
 let digest_iovec kind iov =
   match kind with
   | Internet -> Internet.digest_iovec iov

@@ -15,6 +15,12 @@ val of_string : string -> t option
 (** Case-insensitive; accepts the names printed by {!to_string}. *)
 
 val digest : t -> Bytebuf.t -> int
+
+val digest_sub : t -> Bytebuf.t -> pos:int -> len:int -> int
+(** [digest_sub k buf ~pos ~len] is [digest k (Bytebuf.sub buf ~pos
+    ~len)]. For [Crc32], the integrity trailer every serve datagram
+    carries, it builds no view and allocates nothing. *)
+
 val digest_iovec : t -> Iovec.t -> int
 
 type feeder

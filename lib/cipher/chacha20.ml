@@ -223,7 +223,8 @@ let poly_key t =
     Bytes.get_int64_le b 24 )
 
 let transform_at t ~pos buf =
-  let bytes, boff, n = Bytebuf.backing buf in
+  let bytes = Bytebuf.storage buf and boff = Bytebuf.offset buf in
+  let n = Bytebuf.length buf in
   let i = ref 0 in
   while !i + 8 <= n do
     let w = Bytes.get_int64_le bytes (boff + !i) in

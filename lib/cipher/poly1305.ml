@@ -159,7 +159,8 @@ let feed_block64 t bytes off =
     done
 
 let feed_sub t buf =
-  let bytes, boff, n = Bytebuf.backing buf in
+  let bytes = Bytebuf.storage buf and boff = Bytebuf.offset buf in
+  let n = Bytebuf.length buf in
   let i = ref 0 in
   while !i + 8 <= n do
     feed_word64 t (Bytes.get_int64_le bytes (boff + !i));

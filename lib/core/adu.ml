@@ -48,48 +48,96 @@ let encode t =
   Bytebuf.set_uint8 buf 35 (Int32.to_int crc land 0xff);
   buf
 
-(* The total decoder: malformed input is an [Error _], never an
-   exception. After the length check every read below is within the
-   36-byte header, so no [Cursor.Underflow] can escape. The raising
-   {!decode_view} is a thin wrapper kept for existing callers. *)
-let decode_view_res buf =
-  if Bytebuf.length buf < header_size then
-    Error
-      (Printf.sprintf "ADU of %d bytes is shorter than the header"
-         (Bytebuf.length buf))
-  else
-    let r = Cursor.reader buf in
-    if Cursor.u16be r <> magic then Error "bad ADU magic"
+(* --- The allocation-free reader ---
+
+   [read] checks an encoded ADU sitting at [buf.(pos .. pos+len-1)] and
+   copies its header fields into caller-owned scratch; the payload stays
+   in place at [pos + header_size]. Malformed input is a constant
+   [Some error], never an exception and never a formatted string: a
+   hostile flood of bad units allocates nothing here. After the length
+   check every read is within the 36-byte header. *)
+
+type error = Short | Bad_magic | Length_mismatch | Crc_mismatch
+
+let error_message = function
+  | Short -> "ADU shorter than its header"
+  | Bad_magic -> "bad ADU magic"
+  | Length_mismatch -> "ADU length field does not match the bytes available"
+  | Crc_mismatch -> "ADU CRC mismatch"
+
+type fields = {
+  mutable h_stream : int;
+  mutable h_index : int;
+  mutable h_dest_off : int;
+  mutable h_dest_len : int;
+  mutable h_ts_hi : int;  (* timestamp_us, upper and lower 32 bits *)
+  mutable h_ts_lo : int;
+  mutable h_payload_len : int;
+}
+
+let fields () =
+  {
+    h_stream = 0;
+    h_index = 0;
+    h_dest_off = 0;
+    h_dest_len = 0;
+    h_ts_hi = 0;
+    h_ts_lo = 0;
+    h_payload_len = 0;
+  }
+
+let u16 buf off = (Bytebuf.get_uint8 buf off lsl 8) lor Bytebuf.get_uint8 buf (off + 1)
+let u32 buf off = (u16 buf off lsl 16) lor u16 buf (off + 2)
+
+let read f buf ~pos ~len =
+  if len < header_size then Some Short
+  else if u16 buf pos <> magic then Some Bad_magic
+  else begin
+    let plen = u32 buf (pos + 28) in
+    if len <> header_size + plen then Some Length_mismatch
     else
-      let stream = Cursor.u16be r in
-      let index = Int32.to_int (Cursor.u32be r) land 0xFFFFFFFF in
-      let dest_off = Int64.to_int (Cursor.u64be r) in
-      let dest_len = Int32.to_int (Cursor.u32be r) land 0xFFFFFFFF in
-      let timestamp_us = Cursor.u64be r in
-      let plen = Int32.to_int (Cursor.u32be r) land 0xFFFFFFFF in
-      let got_crc = Cursor.u32be r in
-      if Bytebuf.length buf <> header_size + plen then
-        Error
-          (Printf.sprintf "ADU length field %d does not match %d available"
-             plen
-             (Bytebuf.length buf - header_size))
-      else
-        (* The CRC is computed with its own field zeroed: feed the bytes
-           around the field plus four literal zeros instead of copying the
-           whole unit into a zeroed scratch buffer. *)
-        let crc =
-          let st = Checksum.Crc32.feed_sub Checksum.Crc32.init buf ~pos:0 ~len:32 in
-          let st = ref st in
-          for _ = 1 to 4 do
-            st := Checksum.Crc32.feed_byte !st 0
-          done;
-          Checksum.Crc32.finish
-            (Checksum.Crc32.feed_sub !st buf ~pos:header_size ~len:plen)
-        in
-        if not (Int32.equal crc got_crc) then Error "ADU CRC mismatch"
-        else
-          let payload = Bytebuf.sub buf ~pos:header_size ~len:plen in
-          Ok { name = { stream; index; dest_off; dest_len; timestamp_us }; payload }
+      (* The CRC is computed with its own field zeroed: feed the bytes
+         around the field plus four literal zeros instead of copying the
+         whole unit into a zeroed scratch buffer. *)
+      let open Checksum.Crc32 in
+      let st = feed_sub init buf ~pos ~len:32 in
+      let st = feed_byte (feed_byte (feed_byte (feed_byte st 0) 0) 0) 0 in
+      let crc = finish_int (feed_sub st buf ~pos:(pos + header_size) ~len:plen) in
+      if crc <> u32 buf (pos + 32) then Some Crc_mismatch
+      else begin
+        f.h_stream <- u16 buf (pos + 2);
+        f.h_index <- u32 buf (pos + 4);
+        (* The u64 field as [Int64.to_int] reads it: the low 63 bits. *)
+        f.h_dest_off <- (u32 buf (pos + 8) lsl 32) lor u32 buf (pos + 12);
+        f.h_dest_len <- u32 buf (pos + 16);
+        f.h_ts_hi <- u32 buf (pos + 20);
+        f.h_ts_lo <- u32 buf (pos + 24);
+        f.h_payload_len <- plen;
+        None
+      end
+  end
+
+let name_of f =
+  {
+    stream = f.h_stream;
+    index = f.h_index;
+    dest_off = f.h_dest_off;
+    dest_len = f.h_dest_len;
+    timestamp_us =
+      (if f.h_ts_hi = 0 && f.h_ts_lo = 0 then 0L
+       else Int64.logor (Int64.shift_left (Int64.of_int f.h_ts_hi) 32) (Int64.of_int f.h_ts_lo));
+  }
+
+let decode_view_res buf =
+  let f = fields () in
+  match read f buf ~pos:0 ~len:(Bytebuf.length buf) with
+  | Some e -> Error (error_message e)
+  | None ->
+      Ok
+        {
+          name = name_of f;
+          payload = Bytebuf.sub buf ~pos:header_size ~len:f.h_payload_len;
+        }
 
 let decode_view buf =
   match decode_view_res buf with

@@ -67,6 +67,41 @@ val decode_view : Bytebuf.t -> t
 val decode_view_res : Bytebuf.t -> (t, string) result
 (** Total form of {!decode_view}: malformed input (truncation, bad magic,
     length mismatch, CRC mismatch) is an [Error _], never an exception.
-    The form server dispatch and other hostile-input paths use. *)
+    Built on {!read}. *)
+
+(** {1 Reading without allocating}
+
+    The per-datagram form the serve engine uses: {!read} verifies an
+    encoded ADU in place and copies its header into caller-owned
+    scratch; the payload stays where it is. No view, no name, no boxed
+    integer and no error string is built. *)
+
+type error = Short | Bad_magic | Length_mismatch | Crc_mismatch
+
+val error_message : error -> string
+
+type fields = {
+  mutable h_stream : int;
+  mutable h_index : int;
+  mutable h_dest_off : int;
+  mutable h_dest_len : int;
+  mutable h_ts_hi : int;  (** [timestamp_us], upper 32 bits. *)
+  mutable h_ts_lo : int;  (** [timestamp_us], lower 32 bits. *)
+  mutable h_payload_len : int;
+}
+
+val fields : unit -> fields
+(** Fresh scratch, to be reused across {!read}s by one thread. *)
+
+val read : fields -> Bytebuf.t -> pos:int -> len:int -> error option
+(** [read f buf ~pos ~len] checks the encoded ADU at
+    [buf.(pos .. pos+len-1)]: header length, magic, that the length field
+    accounts for exactly [len] bytes, and the CRC-32. [None] on success,
+    with the header in [f] and the payload at [pos + header_size];
+    otherwise a constant [Some error]. Allocates nothing. *)
+
+val name_of : fields -> name
+(** The {!name} a successful {!read} decoded. Allocates the record (and
+    a boxed [timestamp_us] when it is not zero). *)
 
 val pp : Format.formatter -> t -> unit

@@ -20,85 +20,101 @@ let tag_fec = 0xFE
 
 let trailer_size = 4
 
+let put_u8 buf off v = Bytebuf.set_uint8 buf off (v land 0xff)
+
+let put_be16 buf off v =
+  put_u8 buf off (v lsr 8);
+  put_u8 buf (off + 1) v
+
 let put_be32 buf off v =
-  Bytebuf.set_uint8 buf off ((v lsr 24) land 0xff);
-  Bytebuf.set_uint8 buf (off + 1) ((v lsr 16) land 0xff);
-  Bytebuf.set_uint8 buf (off + 2) ((v lsr 8) land 0xff);
-  Bytebuf.set_uint8 buf (off + 3) (v land 0xff)
+  put_be16 buf off (v lsr 16);
+  put_be16 buf (off + 2) v
+
+let get_be16 buf off =
+  (Bytebuf.get_uint8 buf off lsl 8) lor Bytebuf.get_uint8 buf (off + 1)
+
+let get_be32 buf off = (get_be16 buf off lsl 16) lor get_be16 buf (off + 2)
 
 let seal_in_place integrity buf ~len =
   match integrity with
   | None -> len
   | Some kind ->
-      let d =
-        Checksum.Kind.digest kind (Bytebuf.sub buf ~pos:0 ~len) land 0xFFFFFFFF
-      in
-      put_be32 buf len d;
+      put_be32 buf len
+        (Checksum.Kind.digest_sub kind buf ~pos:0 ~len land 0xFFFFFFFF);
       len + trailer_size
 
 let seal integrity buf =
   match integrity with
   | None -> buf
-  | Some kind ->
+  | Some _ ->
       let n = Bytebuf.length buf in
       let out = Bytebuf.create (n + trailer_size) in
       Bytebuf.blit ~src:buf ~src_pos:0 ~dst:out ~dst_pos:0 ~len:n;
-      let d = Checksum.Kind.digest kind buf land 0xFFFFFFFF in
-      put_be32 out n d;
+      ignore (seal_in_place integrity out ~len:n);
       out
+
+let unsealed_length integrity buf ~len =
+  match integrity with
+  | None -> len
+  | Some kind ->
+      if len < trailer_size then -1
+      else
+        let n = len - trailer_size in
+        if
+          Checksum.Kind.digest_sub kind buf ~pos:0 ~len:n land 0xFFFFFFFF
+          = get_be32 buf n
+        then n
+        else -1
 
 let unseal integrity buf =
   match integrity with
   | None -> Some buf
-  | Some kind ->
-      let n = Bytebuf.length buf in
-      if n < trailer_size then None
-      else
-        let body = Bytebuf.sub buf ~pos:0 ~len:(n - trailer_size) in
-        let stored =
-          (Bytebuf.get_uint8 buf (n - 4) lsl 24)
-          lor (Bytebuf.get_uint8 buf (n - 3) lsl 16)
-          lor (Bytebuf.get_uint8 buf (n - 2) lsl 8)
-          lor Bytebuf.get_uint8 buf (n - 1)
-        in
-        if Checksum.Kind.digest kind body land 0xFFFFFFFF = stored then
-          Some body
-        else None
+  | Some _ ->
+      let n = unsealed_length integrity buf ~len:(Bytebuf.length buf) in
+      if n < 0 then None else Some (Bytebuf.take buf n)
 
 (* Writers lay the message into the front of [buf] and return the body
    length, so pooled buffers can be filled and sealed in place; the
    [build_*] variants allocate exactly-sized buffers for callers without
-   a pool. *)
+   a pool. Bytes go straight into the buffer: no cursor, no view. *)
+
+let room buf n what =
+  if Bytebuf.length buf < n then invalid_arg (what ^ ": buffer too small")
 
 let write_done buf ~stream =
-  let w = Cursor.writer buf in
-  Cursor.put_u8 w tag_done;
-  Cursor.put_u16be w stream;
-  Bytebuf.length (Cursor.written w)
+  room buf 3 "Ctl.write_done";
+  put_u8 buf 0 tag_done;
+  put_be16 buf 1 stream;
+  3
 
 let write_close buf ~stream ~total =
-  let w = Cursor.writer buf in
-  Cursor.put_u8 w tag_close;
-  Cursor.put_u16be w stream;
-  Cursor.put_int_as_u32be w total;
-  Bytebuf.length (Cursor.written w)
+  room buf 7 "Ctl.write_close";
+  put_u8 buf 0 tag_close;
+  put_be16 buf 1 stream;
+  put_be32 buf 3 total;
+  7
+
+let write_indices buf off indices =
+  List.iteri (fun i v -> put_be32 buf (off + (4 * i)) v) indices
 
 let write_nack buf ~stream ~have_below indices =
-  let w = Cursor.writer buf in
-  Cursor.put_u8 w tag_nack;
-  Cursor.put_u16be w stream;
-  Cursor.put_int_as_u32be w have_below;
-  Cursor.put_u16be w (List.length indices);
-  List.iter (fun i -> Cursor.put_int_as_u32be w i) indices;
-  Bytebuf.length (Cursor.written w)
+  let count = List.length indices in
+  room buf (9 + (4 * count)) "Ctl.write_nack";
+  put_u8 buf 0 tag_nack;
+  put_be16 buf 1 stream;
+  put_be32 buf 3 have_below;
+  put_be16 buf 7 count;
+  write_indices buf 9 indices;
+  9 + (4 * count)
 
 let write_gone buf ~stream indices =
-  let w = Cursor.writer buf in
-  Cursor.put_u8 w tag_gone;
-  Cursor.put_u16be w stream;
-  Cursor.put_u16be w (List.length indices);
-  List.iter (fun i -> Cursor.put_int_as_u32be w i) indices;
-  Bytebuf.length (Cursor.written w)
+  let count = List.length indices in
+  room buf (5 + (4 * count)) "Ctl.write_gone";
+  put_u8 buf 0 tag_gone;
+  put_be16 buf 1 stream;
+  put_be16 buf 3 count;
+  write_indices buf 5 indices;
+  5 + (4 * count)
 
 let build size write =
   let buf = Bytebuf.create size in
@@ -130,34 +146,63 @@ let stream_of = function
   | Gone { stream; _ } ->
       stream
 
-let read_indices r count =
-  let rec go n acc =
-    if n = 0 then List.rev acc
-    else go (n - 1) ((Int32.to_int (Cursor.u32be r) land 0xFFFFFFFF) :: acc)
-  in
-  go count []
+(* --- The allocation-free reader ---
+
+   [read] checks a body's length against its own counts and copies its
+   scalar fields into caller-owned scratch; the NACK/GONE indices stay
+   in the buffer, read one at a time by [index]. {!parse} builds the
+   [msg] variant on top of it for callers that want the record. *)
+
+type fields = {
+  mutable stream : int;
+  mutable have_below : int;
+  mutable total : int;
+  mutable count : int;
+  mutable first : int;  (* byte offset of index 0 in the body *)
+}
+
+let fields () = { stream = 0; have_below = 0; total = 0; count = 0; first = 0 }
+
+let read f buf ~len =
+  if len < 3 then -1
+  else
+    let tag = Bytebuf.get_uint8 buf 0 in
+    f.stream <- get_be16 buf 1;
+    if tag = tag_done then tag
+    else if tag = tag_close then
+      if len < 7 then -1
+      else begin
+        f.total <- get_be32 buf 3;
+        tag
+      end
+    else if tag = tag_nack then
+      if len < 9 then -1
+      else begin
+        f.have_below <- get_be32 buf 3;
+        f.count <- get_be16 buf 7;
+        f.first <- 9;
+        if len < 9 + (4 * f.count) then -1 else tag
+      end
+    else if tag = tag_gone then
+      if len < 5 then -1
+      else begin
+        f.count <- get_be16 buf 3;
+        f.first <- 5;
+        if len < 5 + (4 * f.count) then -1 else tag
+      end
+    else -1
+
+let index f buf i = get_be32 buf (f.first + (4 * i))
 
 let parse buf =
-  if Bytebuf.length buf = 0 then None
-  else
-    let r = Cursor.reader buf in
-    try
-      match Cursor.u8 r with
-      | t when t = tag_nack ->
-          let stream = Cursor.u16be r in
-          let have_below = Int32.to_int (Cursor.u32be r) land 0xFFFFFFFF in
-          let count = Cursor.u16be r in
-          Some (Nack { stream; have_below; indices = read_indices r count })
-      | t when t = tag_close ->
-          let stream = Cursor.u16be r in
-          let total = Int32.to_int (Cursor.u32be r) land 0xFFFFFFFF in
-          Some (Close { stream; total })
-      | t when t = tag_done ->
-          let stream = Cursor.u16be r in
-          Some (Done { stream })
-      | t when t = tag_gone ->
-          let stream = Cursor.u16be r in
-          let count = Cursor.u16be r in
-          Some (Gone { stream; indices = read_indices r count })
-      | _ -> None
-    with Cursor.Underflow _ -> None
+  let f = fields () in
+  let tag = read f buf ~len:(Bytebuf.length buf) in
+  let indices () = List.init f.count (index f buf) in
+  if tag = tag_nack then
+    Some
+      (Nack { stream = f.stream; have_below = f.have_below; indices = indices () })
+  else if tag = tag_close then Some (Close { stream = f.stream; total = f.total })
+  else if tag = tag_done then Some (Done { stream = f.stream })
+  else if tag = tag_gone then
+    Some (Gone { stream = f.stream; indices = indices () })
+  else None

@@ -30,9 +30,16 @@ val seal_in_place : Checksum.Kind.t option -> Bytebuf.t -> len:int -> int
     [buf] must have at least [len + trailer_size] bytes of room. The
     allocation-free path for pooled control buffers. *)
 
+val unsealed_length : Checksum.Kind.t option -> Bytebuf.t -> len:int -> int
+(** [unsealed_length k buf ~len] verifies the trailer of the datagram
+    held in [buf.(0 .. len-1)] and returns its body length, or [-1] on
+    mismatch or truncation. Builds no view: with [Crc32] (or no
+    integrity) it allocates nothing — the per-datagram form. *)
+
 val unseal : Checksum.Kind.t option -> Bytebuf.t -> Bytebuf.t option
 (** Verify and strip the trailer; [None] on mismatch or truncation. The
-    returned body is a view into [buf]. *)
+    returned body is a view into [buf]. {!unsealed_length} plus the
+    view, for callers that keep the body as a buffer. *)
 
 (** {1 Messages} *)
 
@@ -51,7 +58,36 @@ val stream_of : msg -> int
 
 val parse : Bytebuf.t -> msg option
 (** Parse an unsealed control body. [None] on an unknown tag or a
-    truncated message — the caller drops, it never throws. *)
+    truncated message — the caller drops, it never throws. Built on
+    {!read}. *)
+
+(** {2 Reading without allocating}
+
+    The per-datagram form: {!read} validates a body against its own
+    counts and copies its scalar fields into caller-owned scratch; the
+    indices of a NACK or GONE stay in the buffer and are read with
+    {!index}. Nothing is allocated. *)
+
+type fields = {
+  mutable stream : int;
+  mutable have_below : int;  (** NACK only. *)
+  mutable total : int;  (** CLOSE only. *)
+  mutable count : int;  (** Index count, NACK and GONE only. *)
+  mutable first : int;  (** Byte offset of index 0, NACK and GONE only. *)
+}
+
+val fields : unit -> fields
+(** Fresh scratch, to be reused across {!read}s by one thread. *)
+
+val read : fields -> Bytebuf.t -> len:int -> int
+(** [read f buf ~len] reads the control body [buf.(0 .. len-1)]. Returns
+    its tag ([tag_nack], [tag_close], [tag_done] or [tag_gone]) with the
+    fields that tag carries written to [f], or [-1] on an unknown tag or
+    a truncated body; trailing bytes are ignored, as by {!parse}. *)
+
+val index : fields -> Bytebuf.t -> int -> int
+(** [index f buf i] is index [i] ([0 <= i < f.count]) of the NACK or
+    GONE body last {!read} from [buf]. *)
 
 (** Writers lay the message at the front of [buf] and return the body
     length (ready for {!seal_in_place}); [build_*] allocate exactly-sized

@@ -82,34 +82,82 @@ type frag_info = {
 
 exception Frag_error of string
 
-(* The total parser: every malformed input is a [Error _], never an
-   exception — the form server dispatch and other hostile-input paths
-   consume. The raising {!parse_fragment} below is a thin wrapper kept
-   for existing callers. *)
-let parse_fragment_res buf =
-  if Bytebuf.length buf < fragment_header_size then
-    Error (Printf.sprintf "fragment of %d bytes" (Bytebuf.length buf))
-  else
-    let r = Cursor.reader buf in
-    if Cursor.u8 r <> frag_magic then Error "bad fragment magic"
-    else
-      let stream = Cursor.u16be r in
-      let index = Int32.to_int (Cursor.u32be r) land 0xFFFFFFFF in
-      let frag_idx = Cursor.u16be r in
-      let nfrags = Cursor.u16be r in
-      let total_len = Int32.to_int (Cursor.u32be r) land 0xFFFFFFFF in
-      let frag_off = Int32.to_int (Cursor.u32be r) land 0xFFFFFFFF in
-      let chunk = Cursor.rest r in
-      if nfrags = 0 || frag_idx >= nfrags then
-        Error "fragment indices inconsistent"
-      else if frag_off + Bytebuf.length chunk > total_len then
-        Error "fragment overruns its ADU"
-      else Ok { stream; index; frag_idx; nfrags; total_len; frag_off; chunk }
+(* --- The allocation-free reader ---
+
+   [read_fragment] checks a fragment held in [buf.(0 .. len-1)] and
+   copies its header into caller-owned scratch; the chunk stays in place
+   at [fragment_header_size]. Malformed input is a constant
+   [Some error]: no exception, no view, no formatted string. *)
+
+type error = Short | Bad_magic | Inconsistent | Overrun
+
+let error_message = function
+  | Short -> "fragment shorter than its header"
+  | Bad_magic -> "bad fragment magic"
+  | Inconsistent -> "fragment indices inconsistent"
+  | Overrun -> "fragment overruns its ADU"
+
+type fields = {
+  mutable h_stream : int;
+  mutable h_index : int;
+  mutable h_frag_idx : int;
+  mutable h_nfrags : int;
+  mutable h_total_len : int;
+  mutable h_frag_off : int;
+  mutable h_chunk_len : int;
+}
+
+let fields () =
+  {
+    h_stream = 0;
+    h_index = 0;
+    h_frag_idx = 0;
+    h_nfrags = 0;
+    h_total_len = 0;
+    h_frag_off = 0;
+    h_chunk_len = 0;
+  }
+
+let u16 buf off = (Bytebuf.get_uint8 buf off lsl 8) lor Bytebuf.get_uint8 buf (off + 1)
+let u32 buf off = (u16 buf off lsl 16) lor u16 buf (off + 2)
+
+let read_fragment f buf ~len =
+  if len < fragment_header_size then Some Short
+  else if Bytebuf.get_uint8 buf 0 <> frag_magic then Some Bad_magic
+  else begin
+    let frag_idx = u16 buf 7 and nfrags = u16 buf 9 in
+    let total_len = u32 buf 11 and frag_off = u32 buf 15 in
+    let chunk_len = len - fragment_header_size in
+    if nfrags = 0 || frag_idx >= nfrags then Some Inconsistent
+    else if frag_off + chunk_len > total_len then Some Overrun
+    else begin
+      f.h_stream <- u16 buf 1;
+      f.h_index <- u32 buf 3;
+      f.h_frag_idx <- frag_idx;
+      f.h_nfrags <- nfrags;
+      f.h_total_len <- total_len;
+      f.h_frag_off <- frag_off;
+      f.h_chunk_len <- chunk_len;
+      None
+    end
+  end
+
+let info_of f buf =
+  {
+    stream = f.h_stream;
+    index = f.h_index;
+    frag_idx = f.h_frag_idx;
+    nfrags = f.h_nfrags;
+    total_len = f.h_total_len;
+    frag_off = f.h_frag_off;
+    chunk = Bytebuf.sub buf ~pos:fragment_header_size ~len:f.h_chunk_len;
+  }
 
 let parse_fragment buf =
-  match parse_fragment_res buf with
-  | Ok f -> f
-  | Error msg -> raise (Frag_error msg)
+  let f = fields () in
+  match read_fragment f buf ~len:(Bytebuf.length buf) with
+  | None -> info_of f buf
+  | Some e -> raise (Frag_error (error_message e))
 
 type partial = {
   total_len : int;

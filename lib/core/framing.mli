@@ -70,9 +70,39 @@ exception Frag_error of string
 val parse_fragment : Bytebuf.t -> frag_info
 (** Raises {!Frag_error} on malformed input. [chunk] aliases the input. *)
 
-val parse_fragment_res : Bytebuf.t -> (frag_info, string) result
-(** Total form of {!parse_fragment}: malformed input is an [Error _],
-    never an exception. [chunk] aliases the input. *)
+(** {2 Reading without allocating}
+
+    The per-datagram form the serve engine uses: {!read_fragment}
+    checks a fragment header in place and copies it into caller-owned
+    scratch; the chunk stays at [fragment_header_size]. {!parse_fragment}
+    is built on it. *)
+
+type error = Short | Bad_magic | Inconsistent | Overrun
+
+val error_message : error -> string
+
+type fields = {
+  mutable h_stream : int;
+  mutable h_index : int;
+  mutable h_frag_idx : int;
+  mutable h_nfrags : int;
+  mutable h_total_len : int;
+  mutable h_frag_off : int;
+  mutable h_chunk_len : int;  (** Bytes after the header. *)
+}
+
+val fields : unit -> fields
+(** Fresh scratch, to be reused across reads by one thread. *)
+
+val read_fragment : fields -> Bytebuf.t -> len:int -> error option
+(** [read_fragment f buf ~len] checks the fragment [buf.(0 .. len-1)]:
+    header length, magic, [frag_idx < nfrags], and that the chunk fits
+    inside [total_len]. [None] with the header in [f], or a constant
+    [Some error]. Total and allocation-free. *)
+
+val info_of : fields -> Bytebuf.t -> frag_info
+(** The {!frag_info} a successful {!read_fragment} of [buf] decoded —
+    the record {!push} takes; [chunk] aliases [buf]. *)
 
 (** {1 Reassembly (receive stage 1)} *)
 

@@ -149,11 +149,16 @@ let handles_layered = run_handles "layered"
 let handles_interpreted = run_handles "fused-interpreted"
 let handles_compiled = run_handles "fused-compiled"
 
-let record_run h ~ns (r : result) =
+(* [t0] is the {!Obs.Clock.now_ns} reading taken before the run. *)
+let record_run h ~t0 ~bytes ~passes =
+  let ns = Obs.Clock.now_ns () - t0 in
   Obs.Counter.incr h.rh_runs;
-  Obs.Counter.add h.rh_bytes r.bytes_touched;
-  Obs.Counter.add h.rh_passes r.passes;
-  Obs.Histogram.record h.rh_ns ns
+  Obs.Counter.add h.rh_bytes bytes;
+  Obs.Counter.add h.rh_passes passes;
+  Obs.Histogram.record_int h.rh_ns ns
+
+let record_result h ~t0 (r : result) =
+  record_run h ~t0 ~bytes:r.bytes_touched ~passes:r.passes
 
 type stage_handles = { sh_passes : Obs.Counter.t; sh_bytes : Obs.Counter.t }
 
@@ -518,8 +523,8 @@ let run_general ~swap_first plan input dst =
   let stages = Array.of_list (List.map rt_of_stage rest) in
   let nst = Array.length stages in
   let n = Bytebuf.length input in
-  let sb, sbase, _ = Bytebuf.backing input in
-  let db, dbase, _ = Bytebuf.backing dst in
+  let sb = Bytebuf.storage input and sbase = Bytebuf.offset input in
+  let db = Bytebuf.storage dst and dbase = Bytebuf.offset dst in
   (* The word path assumes little-endian octet↔memory correspondence;
      big-endian hosts take the (identical-result) byte path throughout. *)
   let word_end = if Sys.big_endian then 0 else n land lnot 7 in
@@ -564,6 +569,7 @@ let run_general ~swap_first plan input dst =
 type lowering =
   | L_copy
   | L_copy_checksum (* Internet checksum + copy, either order *)
+  | L_copy_crc32 (* CRC-32 + copy, either order: the serve engine's stage 2 *)
   | L_pad_checksum_copy
   | L_checksum_pad_copy
   | L_general of { swap_first : bool }
@@ -607,6 +613,10 @@ let lower shape =
             | [ Sh_check Checksum.Kind.Internet; Sh_copy ]
             | [ Sh_copy; Sh_check Checksum.Kind.Internet ] ->
                 L_copy_checksum
+            | [ Sh_check Checksum.Kind.Crc32 ]
+            | [ Sh_check Checksum.Kind.Crc32; Sh_copy ]
+            | [ Sh_copy; Sh_check Checksum.Kind.Crc32 ] ->
+                L_copy_crc32
             | [ Sh_xor; Sh_check Checksum.Kind.Internet; Sh_copy ] ->
                 L_pad_checksum_copy
             | [ Sh_check Checksum.Kind.Internet; Sh_xor; Sh_copy ] ->
@@ -666,62 +676,82 @@ let dst_for dst_opt n =
         invalid_arg "Ilp.run_fused: dst length must equal input length";
       d
 
-let exec lowering plan input dst_opt =
-  let n = Bytebuf.length input in
-  let dst = dst_for dst_opt n in
-  let mk ?(tags = []) checksums =
-    {
-      output = dst;
-      checksums;
-      tags;
-      passes = 1;
-      bytes_touched = 2 * n;
-      compiled = true;
-    }
-  in
+(* A plan resolved against the cache: its lowering plus the plan itself,
+   whose keys and stream positions the lowering reads at run time. *)
+type compiled = { c_lowering : lowering; c_plan : plan }
+
+let compile plan =
+  match compile_lookup plan with
+  | Error msg -> invalid_arg ("Ilp.run_fused: " ^ msg)
+  | Ok l -> { c_lowering = l; c_plan = plan }
+
+(* The hand-fused kernels: one loop, at most one digest (0 for the bare
+   copy). *)
+let run_kernel lowering plan input dst =
   match (lowering, plan) with
   | L_copy, _ ->
       Kernels.copy ~src:input ~dst;
-      mk []
-  | L_copy_checksum, _ ->
-      let c = Kernels.copy_checksum ~src:input ~dst in
-      mk [ (Checksum.Kind.Internet, c) ]
+      0
+  | L_copy_checksum, _ -> Kernels.copy_checksum ~src:input ~dst
+  | L_copy_crc32, _ -> Kernels.copy_crc32 ~src:input ~dst
   | L_pad_checksum_copy, Xor_pad { key; pos } :: _ ->
-      let c = Kernels.copy_checksum_xor ~src:input ~dst ~key ~stream_pos:pos in
-      mk [ (Checksum.Kind.Internet, c) ]
+      Kernels.copy_checksum_xor ~src:input ~dst ~key ~stream_pos:pos
   | L_checksum_pad_copy, _ :: Xor_pad { key; pos } :: _ ->
-      let c = Kernels.checksum_xor_copy ~src:input ~dst ~key ~stream_pos:pos in
-      mk [ (Checksum.Kind.Internet, c) ]
-  | L_general { swap_first }, _ ->
-      let checksums, tags = run_general ~swap_first plan input dst in
-      mk ~tags checksums
-  | (L_pad_checksum_copy | L_checksum_pad_copy | L_marshal | L_unmarshal), _ ->
-      (* The lowering came from this plan's shape; marshal/unmarshal
-         lowerings are only ever produced for marked shapes, which never
-         reach [exec]. *)
+      Kernels.checksum_xor_copy ~src:input ~dst ~key ~stream_pos:pos
+  | ( ( L_pad_checksum_copy | L_checksum_pad_copy | L_general _ | L_marshal
+      | L_unmarshal ),
+      _ ) ->
+      (* The lowering came from this plan's shape; the general loop is
+         dispatched by the callers, and marshal/unmarshal lowerings are
+         only ever produced for marked shapes, which never get here. *)
       assert false
 
+let kernel_checksums lowering c =
+  match lowering with
+  | L_copy -> []
+  | L_copy_crc32 -> [ (Checksum.Kind.Crc32, c) ]
+  | _ -> [ (Checksum.Kind.Internet, c) ]
+
 let run_layered plan input =
-  let r, ns = Obs.Clock.time_ns (fun () -> run_layered_impl plan input) in
-  record_run handles_layered ~ns r;
+  let t0 = Obs.Clock.now_ns () in
+  let r = run_layered_impl plan input in
+  record_result handles_layered ~t0 r;
   r
 
 let run_fused_interpreted plan input =
-  let r, ns =
-    Obs.Clock.time_ns (fun () -> run_fused_interpreted_impl plan input)
-  in
-  record_run handles_interpreted ~ns r;
+  let t0 = Obs.Clock.now_ns () in
+  let r = run_fused_interpreted_impl plan input in
+  record_result handles_interpreted ~t0 r;
   r
 
 let run_fused ?dst plan input =
-  let r, ns =
-    Obs.Clock.time_ns (fun () ->
-        match compile_lookup plan with
-        | Error msg -> invalid_arg ("Ilp.run_fused: " ^ msg)
-        | Ok lowering -> exec lowering plan input dst)
+  let t0 = Obs.Clock.now_ns () in
+  let h = compile plan in
+  let n = Bytebuf.length input in
+  let dst = dst_for dst n in
+  let checksums, tags =
+    match h.c_lowering with
+    | L_general { swap_first } -> run_general ~swap_first plan input dst
+    | l -> (kernel_checksums l (run_kernel l plan input dst), [])
   in
-  record_run handles_compiled ~ns r;
+  let r =
+    { output = dst; checksums; tags; passes = 1; bytes_touched = 2 * n; compiled = true }
+  in
+  record_result handles_compiled ~t0 r;
   r
+
+(* The per-ADU form: no lookup, no result. With a kernel lowering the
+   run allocates nothing. *)
+let run_into h ~dst input =
+  let t0 = Obs.Clock.now_ns () in
+  let n = Bytebuf.length input in
+  if Bytebuf.length dst <> n then
+    invalid_arg "Ilp.run_into: dst length must equal input length";
+  (match h.c_lowering with
+  | L_general { swap_first } ->
+      ignore (run_general ~swap_first h.c_plan input dst)
+  | l -> ignore (run_kernel l h.c_plan input dst));
+  record_run handles_compiled ~t0 ~bytes:(2 * n) ~passes:1
 
 (* ------------------------------------------------------------------ *)
 (* Fused presentation conversion: the plan's first "stage" is the
@@ -810,7 +840,7 @@ let run_marshal_impl source plan dst_opt =
   let dst = dst_for dst_opt n in
   let stages = Array.of_list (List.map rt_of_stage plan) in
   let nst = Array.length stages in
-  let db, dbase, _ = Bytebuf.backing dst in
+  let db = Bytebuf.storage dst and dbase = Bytebuf.offset dst in
   (* The sink's callbacks ARE the fused loop body. Each completed word
      lands with a single store, and the stage chain runs in 64-byte block
      flushes that lag the writer by at most one block: the data is still
@@ -889,8 +919,9 @@ let run_marshal_impl source plan dst_opt =
     : result)
 
 let run_marshal ?dst source plan =
-  let r, ns = Obs.Clock.time_ns (fun () -> run_marshal_impl source plan dst) in
-  record_run handles_marshal ~ns r;
+  let t0 = Obs.Clock.now_ns () in
+  let r = run_marshal_impl source plan dst in
+  record_result handles_marshal ~t0 r;
   Obs.Counter.add c_bytes_encoded (Bytebuf.length r.output);
   r
 
@@ -902,8 +933,8 @@ let run_unmarshal_impl plan sink input dst_opt =
   let dst = dst_for dst_opt n in
   let stages = Array.of_list (List.map rt_of_stage plan) in
   let nst = Array.length stages in
-  let sb, sbase, _ = Bytebuf.backing input in
-  let db, dbase, _ = Bytebuf.backing dst in
+  let sb = Bytebuf.storage input and sbase = Bytebuf.offset input in
+  let db = Bytebuf.storage dst and dbase = Bytebuf.offset dst in
   let word_end = n land lnot 7 in
   (* Watermark transform: bytes [0, wm) of [dst] are final. The decoder's
      demand hook advances it lazily, words first, just ahead of the
@@ -959,13 +990,9 @@ let run_unmarshal_impl plan sink input dst_opt =
   { value; consumed; checksums; tags }
 
 let run_unmarshal ?dst plan sink input =
-  let r, ns =
-    Obs.Clock.time_ns (fun () -> run_unmarshal_impl plan sink input dst)
-  in
-  Obs.Counter.incr handles_unmarshal.rh_runs;
-  Obs.Counter.add handles_unmarshal.rh_bytes (2 * Bytebuf.length input);
-  Obs.Counter.add handles_unmarshal.rh_passes 1;
-  Obs.Histogram.record handles_unmarshal.rh_ns ns;
+  let t0 = Obs.Clock.now_ns () in
+  let r = run_unmarshal_impl plan sink input dst in
+  record_run handles_unmarshal ~t0 ~bytes:(2 * Bytebuf.length input) ~passes:1;
   Obs.Counter.add c_bytes_decoded r.consumed;
   r
 
@@ -994,11 +1021,9 @@ let run_view_impl plan prog input dst_opt =
   { view = Wire.View.make prog dst ~pos:0; view_checksums; view_tags }
 
 let run_view ?dst plan prog input =
-  let r, ns = Obs.Clock.time_ns (fun () -> run_view_impl plan prog input dst) in
-  Obs.Counter.incr handles_view.rh_runs;
-  Obs.Counter.add handles_view.rh_bytes (2 * Bytebuf.length input);
-  Obs.Counter.add handles_view.rh_passes 1;
-  Obs.Histogram.record handles_view.rh_ns ns;
+  let t0 = Obs.Clock.now_ns () in
+  let r = run_view_impl plan prog input dst in
+  record_run handles_view ~t0 ~bytes:(2 * Bytebuf.length input) ~passes:1;
   (match r.view with
   | Ok (_, consumed) -> Obs.Counter.add c_bytes_decoded consumed
   | Error _ -> ());

@@ -117,6 +117,29 @@ val run_fused : ?dst:Bytebuf.t -> plan -> Bytebuf.t -> result
     must not overlap the input, except that passing the input itself
     transforms in place when the plan has no leading [Byteswap32]. *)
 
+(** {2 Compiled handles}
+
+    {!run_fused} resolves its plan through the cache on every call. A
+    caller that runs one plan over every ADU it receives resolves it
+    once with {!compile} and runs the handle with {!run_into}: no shape
+    list, no cache lock, no result record. *)
+
+type compiled
+(** A plan plus the lowering the cache holds for its shape. The plan's
+    run-time parameters (keys, stream positions) are fixed with it. *)
+
+val compile : plan -> compiled
+(** One cache lookup, as {!run_fused} makes. Raises [Invalid_argument]
+    if the plan does not {!validate}. *)
+
+val run_into : compiled -> dst:Bytebuf.t -> Bytebuf.t -> unit
+(** [run_into h ~dst input] runs [h] from [input] into [dst] (exactly
+    the input's length, as for {!run_fused}) and records the run in the
+    same [ilp.fused-compiled.*] counters and histogram, discarding the
+    digests. When the plan lowers to a hand-fused kernel — copy,
+    Internet checksum + copy, CRC-32 + copy, and the keystream
+    variants — the run allocates nothing. *)
+
 val run_fused_interpreted : plan -> Bytebuf.t -> result
 (** The generic per-byte stage interpreter: closure-list dispatch per
     byte — the anti-pattern the paper warns about, kept as the semantic

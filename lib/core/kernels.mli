@@ -40,6 +40,12 @@ val copy_checksum : src:Bytebuf.t -> dst:Bytebuf.t -> int
 (** One loop: copy [src] to [dst] and return [src]'s Internet checksum.
     Each byte is loaded once. *)
 
+val copy_crc32 : src:Bytebuf.t -> dst:Bytebuf.t -> int
+(** Copy [src] to [dst] and return its CRC-32 (as a non-negative int),
+    64 bytes at a time: each block is moved, then folded into the CRC
+    by {!Checksum.Crc32.feed_block64} while it is still in cache.
+    Allocates nothing. *)
+
 val copy_checksum_xor :
   src:Bytebuf.t -> dst:Bytebuf.t -> key:int64 -> stream_pos:int64 -> int
 (** Three manipulations in one loop: decrypt (seekable XOR keystream, as

@@ -1,7 +1,9 @@
 let window = 4096
 
 type t = {
-  ahead : (int, bool) Hashtbl.t;  (* settled index > frontier -> delivered? *)
+  mutable ahead : (int, bool) Hashtbl.t;
+      (* settled index > frontier -> delivered?; [no_ahead] until the
+         first out-of-order settle *)
   mutable frontier : int;
   mutable highest : int;
   mutable total : int;
@@ -9,15 +11,27 @@ type t = {
   mutable gone : int;
 }
 
+(* Shared and never written: an in-order stream, the common case, never
+   allocates a table of its own. *)
+let no_ahead : (int, bool) Hashtbl.t = Hashtbl.create 1
+
 let create () =
   {
-    ahead = Hashtbl.create 8;
+    ahead = no_ahead;
     frontier = 0;
     highest = -1;
     total = -1;
     delivered = 0;
     gone = 0;
   }
+
+let reset t =
+  t.ahead <- no_ahead;
+  t.frontier <- 0;
+  t.highest <- -1;
+  t.total <- -1;
+  t.delivered <- 0;
+  t.gone <- 0
 
 type admit = Fresh | Dup | Beyond_window
 
@@ -39,7 +53,10 @@ let settle t i ~delivered =
       else t.gone <- t.gone + 1;
       (* In-order arrivals, the common case, never touch the table. *)
       if i = t.frontier then t.frontier <- i + 1
-      else Hashtbl.replace t.ahead i delivered;
+      else begin
+        if t.ahead == no_ahead then t.ahead <- Hashtbl.create 8;
+        Hashtbl.replace t.ahead i delivered
+      end;
       while Hashtbl.mem t.ahead t.frontier do
         Hashtbl.remove t.ahead t.frontier;
         t.frontier <- t.frontier + 1

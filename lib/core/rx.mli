@@ -15,6 +15,11 @@ val window : int
 type t
 
 val create : unit -> t
+(** An empty window. The ahead-of-frontier table is made on the first
+    out-of-order settle, so an in-order stream never allocates one. *)
+
+val reset : t -> unit
+(** Back to the state {!create} returns, for reuse by a new stream. *)
 
 type admit =
   | Fresh  (** Unsettled and below [frontier + window]. *)

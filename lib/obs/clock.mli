@@ -1,8 +1,7 @@
-(** Wall-clock time in nanoseconds, for instrumenting real (not
-    simulated) execution — the per-run cost of a manipulation loop. *)
+(** Monotonic time in nanoseconds, for instrumenting real (not
+    simulated) execution — the per-run cost of a manipulation loop.
+    Time a region by reading {!now_ns} before and after it. *)
 
-val now_ns : unit -> float
-(** Nanoseconds since the epoch (microsecond resolution underneath). *)
-
-val time_ns : (unit -> 'a) -> 'a * float
-(** [time_ns f] runs [f] and also returns the elapsed nanoseconds. *)
+val now_ns : unit -> int
+(** Nanoseconds on the system's monotonic clock (arbitrary origin; only
+    differences are meaningful). Allocates nothing. *)

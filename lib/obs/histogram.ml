@@ -32,7 +32,7 @@ let locked t f =
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
 (* Total: NaN lands in the underflow bucket with everything below 1. *)
-let bucket_of v =
+let[@inline] bucket_of v =
   if not (v >= 1.0) then 0
   else
     let i = 1 + int_of_float (Float.log2 v *. float_of_int per_octave) in
@@ -47,8 +47,9 @@ let moment t slot = Float.Array.get t.moments slot
 
 (* Called once per measured event (e.g. every stage-2 run), so it takes
    the lock without a [Fun.protect] closure: nothing between lock and
-   unlock can raise. *)
-let record t v =
+   unlock can raise. Inlined so that {!record_int}'s float stays
+   unboxed. *)
+let[@inline] record t v =
   let b = bucket_of v in
   Mutex.lock t.lock;
   t.counts.(b) <- t.counts.(b) + 1;
@@ -57,6 +58,8 @@ let record t v =
   if v < moment t min_slot then Float.Array.set t.moments min_slot v;
   if v > moment t max_slot then Float.Array.set t.moments max_slot v;
   Mutex.unlock t.lock
+
+let record_int t n = record t (float_of_int n)
 
 let count t = locked t (fun () -> t.count)
 let sum t = locked t (fun () -> moment t sum_slot)

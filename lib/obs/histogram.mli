@@ -21,6 +21,11 @@ val record : t -> float -> unit
 (** Allocates nothing: safe on per-ADU paths. NaN lands in the underflow
     bucket. *)
 
+val record_int : t -> int -> unit
+(** [record_int h n] is [record h (float_of_int n)] with no float boxed
+    on the way: the form for integer nanosecond readings of
+    {!Clock.now_ns} on per-ADU paths. *)
+
 val count : t -> int
 val sum : t -> float
 val mean : t -> float

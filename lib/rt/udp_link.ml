@@ -21,7 +21,7 @@ type t = {
   bind_addr : Unix.inet_addr;
   socks : (int, Unix.file_descr) Hashtbl.t;  (* virtual port -> socket *)
   handlers : (int, src:int -> src_port:int -> Bytebuf.t -> unit) Hashtbl.t;
-  peers : (int * int, Unix.sockaddr) Hashtbl.t;
+  peers : (int, Unix.sockaddr) Hashtbl.t;  (* [peer_key addr port] -> *)
   rev : (Unix.sockaddr, int * int) Hashtbl.t;
   mutable next_addr : int;
   mutable closed : bool;
@@ -59,6 +59,14 @@ let create ?(recv_batch = 32) ?(buf_size = 2048) ?pool
       };
   }
 
+(* A peer's (address, port) pair as the one int [peers] is keyed on,
+   so [send] looks it up without building a tuple. Addresses below 2^30
+   and ports below 2^32 keep it exact; anything else names no peer. *)
+let peer_key addr port = (addr lsl 32) lor port
+
+let peer_key_ok addr port =
+  addr >= 0 && addr < 1 lsl 30 && port >= 0 && port <= 0xFFFFFFFF
+
 (* The one write path for both registry directions. A sockaddr already
    known under another (addr, port) — typically the synthetic port 0 that
    {!source_of} assigns on first contact — is upgraded {e in place}: the
@@ -66,10 +74,13 @@ let create ?(recv_batch = 32) ?(buf_size = 2048) ?pool
    for one sockaddr or a rev mapping pointing at a dead pair (which would
    misattribute [src_port] on every later arrival). *)
 let rebind t sa ~addr ~port =
+  if not (peer_key_ok addr port) then
+    invalid_arg "Udp_link: peer address or port out of range";
   (match Hashtbl.find_opt t.rev sa with
-  | Some (a0, p0) when (a0, p0) <> (addr, port) -> Hashtbl.remove t.peers (a0, p0)
+  | Some (a0, p0) when (a0, p0) <> (addr, port) ->
+      Hashtbl.remove t.peers (peer_key a0 p0)
   | Some _ | None -> ());
-  Hashtbl.replace t.peers (addr, port) sa;
+  Hashtbl.replace t.peers (peer_key addr port) sa;
   Hashtbl.replace t.rev sa (addr, port)
 
 let register_sockaddr t sa ~port =
@@ -94,12 +105,12 @@ let set_peer t ~addr ~port sa = rebind t sa ~addr ~port
    pair is only ever echoed back into [send], where the registry resolves
    it again, so its actual value is immaterial. *)
 let source_of t sa =
-  match Hashtbl.find_opt t.rev sa with
-  | Some pair -> pair
-  | None ->
+  match Hashtbl.find t.rev sa with
+  | pair -> pair
+  | exception Not_found ->
       let addr = t.next_addr in
       t.next_addr <- t.next_addr + 1;
-      Hashtbl.replace t.peers (addr, 0) sa;
+      Hashtbl.replace t.peers (peer_key addr 0) sa;
       Hashtbl.replace t.rev sa (addr, 0);
       (addr, 0)
 
@@ -143,9 +154,9 @@ let drain t ~port fd =
         incr received;
         t.stats.datagrams_received <- t.stats.datagrams_received + 1;
         let src, src_port = source_of t sa in
-        (match Hashtbl.find_opt t.handlers port with
-        | Some handler -> handler ~src ~src_port (Bytebuf.take staging n)
-        | None -> t.stats.unrouted <- t.stats.unrouted + 1);
+        (match Hashtbl.find t.handlers port with
+        | handler -> handler ~src ~src_port (Bytebuf.take staging n)
+        | exception Not_found -> t.stats.unrouted <- t.stats.unrouted + 1);
         release_staging t staging
   done;
   if !received > 0 then begin
@@ -154,9 +165,9 @@ let drain t ~port fd =
   end
 
 let socket_for t ~port =
-  match Hashtbl.find_opt t.socks port with
-  | Some fd -> fd
-  | None ->
+  match Hashtbl.find t.socks port with
+  | fd -> fd
+  | exception Not_found ->
       let fd = Unix.socket Unix.PF_INET Unix.SOCK_DGRAM 0 in
       Unix.set_nonblock fd;
       (* Bigger kernel buffers absorb the bursts a paced simulator never
@@ -184,14 +195,17 @@ let local_addr t ~port =
   | Some (addr, _) -> addr
   | None -> raise Not_found
 
+let no_peer t =
+  t.stats.no_peer <- t.stats.no_peer + 1;
+  false
+
 let send t ~dst ~dst_port ~src_port payload =
   if t.closed then false
+  else if not (peer_key_ok dst dst_port) then no_peer t
   else
-    match Hashtbl.find_opt t.peers (dst, dst_port) with
-    | None ->
-        t.stats.no_peer <- t.stats.no_peer + 1;
-        false
-    | Some sa -> (
+    match Hashtbl.find t.peers (peer_key dst dst_port) with
+    | exception Not_found -> no_peer t
+    | sa -> (
         let fd = socket_for t ~port:src_port in
         match
           Unix.sendto fd (Bytebuf.storage payload) (Bytebuf.offset payload)

@@ -71,7 +71,10 @@ val set_peer : t -> addr:int -> port:int -> Unix.sockaddr -> unit
     and arrivals from it identify as [(addr, port)]. A sockaddr already
     auto-registered under a synthetic pair (first contact) is upgraded in
     place — the stale pair stops routing, and later arrivals identify
-    under the new one; tokens captured before the upgrade are invalid. *)
+    under the new one; tokens captured before the upgrade are invalid.
+    Raises [Invalid_argument] unless [0 <= addr < 2^30] and
+    [0 <= port < 2^32]: the pair is kept as one int, so that {!send}
+    resolves it without allocating. *)
 
 val send : t -> dst:int -> dst_port:int -> src_port:int -> Bytebuf.t -> bool
 (** [false] when the peer is unregistered or the kernel refused the

@@ -111,21 +111,20 @@ let u32 buf off =
 
 (* Every branch reads only fixed offsets already proven in range by the
    body-length checks, so the function is total by inspection: no
-   exception, no allocation, O(1) work per datagram. The trailer CRC is
-   NOT verified here — that costs O(len) hashing and happens on the
-   owning shard's domain — but its length accounting is: a body too
-   short to carry the declared structure plus the trailer never reaches
-   a shard. *)
-let validate limits buf =
+   exception, no allocation (each [Some reason] is a constant), O(1)
+   work per datagram. The trailer CRC is NOT verified here — that costs
+   O(len) hashing and happens on the owning shard's domain — but its
+   length accounting is: a body too short to carry the declared
+   structure plus the trailer never reaches a shard. *)
+let check limits buf =
   let len = Bytebuf.length buf in
   let body = len - limits.trailer in
-  if body < 3 then Reject Runt
-  else if len > limits.max_len then Reject Oversize
+  if body < 3 then Some Runt
+  else if len > limits.max_len then Some Oversize
   else
-    let stream = u16 buf 1 in
     match Bytebuf.get_uint8 buf 0 with
     | b0 when b0 = Framing.frag_magic ->
-        if body < Framing.fragment_header_size then Reject Frag_header
+        if body < Framing.fragment_header_size then Some Frag_header
         else
           let frag_idx = u16 buf 7 in
           let nfrags = u16 buf 9 in
@@ -138,17 +137,20 @@ let validate limits buf =
             || total_len > limits.max_total_len
             || frag_off + chunk > total_len
             || (nfrags = 1 && (frag_off <> 0 || chunk <> total_len))
-          then Reject Frag_header
-          else Accept stream
-    | b0 when b0 = Ctl.tag_close ->
-        if body = 7 then Accept stream else Reject Ctl_malformed
-    | b0 when b0 = Ctl.tag_done ->
-        if body = 3 then Accept stream else Reject Ctl_malformed
+          then Some Frag_header
+          else None
+    | b0 when b0 = Ctl.tag_close -> if body = 7 then None else Some Ctl_malformed
+    | b0 when b0 = Ctl.tag_done -> if body = 3 then None else Some Ctl_malformed
     | b0 when b0 = Ctl.tag_nack ->
-        if body >= 9 && body = 9 + (4 * u16 buf 7) then Accept stream
-        else Reject Ctl_malformed
+        if body >= 9 && body = 9 + (4 * u16 buf 7) then None
+        else Some Ctl_malformed
     | b0 when b0 = Ctl.tag_gone ->
-        if body >= 5 && body = 5 + (4 * u16 buf 3) then Accept stream
-        else Reject Ctl_malformed
-    | b0 when b0 = Ctl.tag_fec -> Reject Fec_unsupported
-    | _ -> Reject Bad_kind
+        if body >= 5 && body = 5 + (4 * u16 buf 3) then None
+        else Some Ctl_malformed
+    | b0 when b0 = Ctl.tag_fec -> Some Fec_unsupported
+    | _ -> Some Bad_kind
+
+let validate limits buf =
+  match check limits buf with
+  | None -> Accept (u16 buf 1)
+  | Some reason -> Reject reason

@@ -4,9 +4,8 @@
     The serve engine's invariants were proven against cooperative peers;
     this module is the first line against adversarial ones. Every
     datagram is classified in O(1) header inspection before it can touch
-    a shard: either [Accept stream] (route it) or [Reject reason] (count
-    it under exactly one [serve.drop.*] reason and drop it). No byte
-    sequence can raise or allocate here. *)
+    a shard: routed, or counted under exactly one [serve.drop.*] reason
+    and dropped. No byte sequence can raise or allocate in {!check}. *)
 
 open Bufkit
 
@@ -61,12 +60,18 @@ type limits = {
   max_total_len : int;  (** Largest acceptable encoded-ADU [total_len]. *)
 }
 
-type verdict = Accept of int  (** The stream id at bytes 1–2. *) | Reject of reason
-
-val validate : limits -> Bytebuf.t -> verdict
-(** Classify a sealed datagram. Total: never raises, never allocates,
-    reads only fixed header offsets proven in range. [max_total_len]
-    bounds the reassembly buffer any fragment can demand, closing the
+val check : limits -> Bytebuf.t -> reason option
+(** Classify a sealed datagram: [None] to route it, or the one reason
+    to drop it for. Total: never raises, never allocates (every
+    [Some reason] it returns is a constant), reads only fixed header
+    offsets proven in range. [max_total_len] bounds the reassembly
+    buffer any fragment can demand, closing the
     attacker-controlled-allocation hole. The integrity trailer's {e CRC}
     is not verified here (that is O(len) and happens on the owning
     shard); its {e length} accounting is. *)
+
+type verdict = Accept of int  (** The stream id at bytes 1–2. *) | Reject of reason
+
+val validate : limits -> Bytebuf.t -> verdict
+(** {!check} as a verdict carrying the stream id. Allocates the
+    verdict; the serve engine calls {!check}. *)

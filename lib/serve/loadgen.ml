@@ -44,6 +44,9 @@ type t = {
   io : Dgram.t;
   sec : Secure.Record.t option;  (* own clone: private AAD scratch *)
   scratch : Bytebuf.t;
+  data_view : Bytebuf.t;  (* the prefix of [scratch] a data datagram fills *)
+  close_view : Bytebuf.t;  (* ... and a CLOSE *)
+  ctl : Ctl.fields;  (* reply parse scratch *)
   done_flags : Bytes.t;
   mutable done_total : int;
   mutable cursor : int;  (* r * sessions + k over data rounds, then CLOSE *)
@@ -58,19 +61,41 @@ type t = {
 let port_of t k = t.cfg.base_port + (k / t.cfg.streams_per_port)
 let stream_of t k = 1 + (k mod t.cfg.streams_per_port)
 
+(* The session a reply names, or -1. *)
 let session_of t ~port ~stream =
   let k =
     ((port - t.cfg.base_port) * t.cfg.streams_per_port) + (stream - 1)
   in
   if
     k >= 0 && k < t.cfg.sessions && port_of t k = port && stream_of t k = stream
-  then Some k
-  else None
+  then k
+  else -1
 
 let payload_byte k index j = (k * 131) + (index * 31) + (j * 7) + 5
 
+(* Big-endian stores straight into the scratch's backing bytes. *)
+let set16 buf off v =
+  Bytes.set_uint16_be (Bytebuf.storage buf) (Bytebuf.offset buf + off)
+    (v land 0xFFFF)
+
+let set32 buf off v =
+  Bytes.set_int32_be (Bytebuf.storage buf) (Bytebuf.offset buf + off)
+    (Int32.of_int v)
+
+let send t k view =
+  let ok =
+    t.io.Dgram.send ~dst:t.cfg.server ~dst_port:t.cfg.server_port
+      ~src_port:(port_of t k) view
+  in
+  t.stats.sent_datagrams <- t.stats.sent_datagrams + 1;
+  t.stats.sent_bytes <- t.stats.sent_bytes + Bytebuf.length view;
+  if not ok then t.stats.send_failed <- t.stats.send_failed + 1
+
 (* One reusable scratch holds the whole sealed datagram — the substrates
-   copy (or transmit) synchronously, so nothing is retained. *)
+   copy (or transmit) synchronously, so nothing is retained. The frame
+   and ADU headers are stored field by field at their fixed offsets
+   (see Framing and Adu.encode); without a record layer nothing here
+   allocates. *)
 let emit_adu t k index =
   let cfg = t.cfg in
   let plen = cfg.payload_len in
@@ -79,120 +104,90 @@ let emit_adu t k index =
   let splen =
     plen + match t.sec with None -> 0 | Some _ -> Secure.Record.overhead
   in
-  let w = Cursor.writer t.scratch in
-  Cursor.put_u8 w Framing.frag_magic;
-  Cursor.put_u16be w (stream_of t k);
-  Cursor.put_int_as_u32be w index;
-  Cursor.put_u16be w 0;
-  Cursor.put_u16be w 1;
-  Cursor.put_int_as_u32be w (Adu.header_size + splen);
-  Cursor.put_int_as_u32be w 0;
+  let b = t.scratch and stream = stream_of t k in
+  Bytebuf.set_uint8 b 0 Framing.frag_magic;
+  set16 b 1 stream;
+  set32 b 3 index;
+  set16 b 7 0 (* frag_idx *);
+  set16 b 9 1 (* nfrags *);
+  set32 b 11 (Adu.header_size + splen);
+  set32 b 15 0 (* frag_off *);
   let adu_pos = Framing.fragment_header_size in
-  Cursor.put_u16be w Adu.magic;
-  Cursor.put_u16be w (stream_of t k);
-  Cursor.put_int_as_u32be w index;
-  Cursor.put_u64be w (Int64.of_int (index * plen)) (* dest_off *);
-  Cursor.put_int_as_u32be w plen (* dest_len *);
-  Cursor.put_u64be w 0L;
-  Cursor.put_int_as_u32be w splen;
-  Cursor.put_u32be w 0l (* ADU CRC, patched below *);
+  let payload_pos = adu_pos + Adu.header_size in
+  let dest_off = index * plen in
+  set16 b adu_pos Adu.magic;
+  set16 b (adu_pos + 2) stream;
+  set32 b (adu_pos + 4) index;
+  set32 b (adu_pos + 8) (dest_off lsr 32);
+  set32 b (adu_pos + 12) dest_off;
+  set32 b (adu_pos + 16) plen (* dest_len *);
+  set32 b (adu_pos + 20) 0 (* timestamp_us *);
+  set32 b (adu_pos + 24) 0;
+  set32 b (adu_pos + 28) splen;
+  let bytes = Bytebuf.storage b and base = Bytebuf.offset b + payload_pos in
   for j = 0 to plen - 1 do
-    Cursor.put_u8 w (payload_byte k index j land 0xff)
+    Bytes.unsafe_set bytes (base + j)
+      (Char.unsafe_chr (payload_byte k index j land 0xff))
   done;
   (match t.sec with
   | None -> ()
   | Some rc ->
       let name =
-        Adu.name ~dest_off:(index * plen) ~dest_len:plen
-          ~stream:(stream_of t k) ~index ()
+        Adu.name ~dest_off ~dest_len:plen ~stream ~index ()
       in
       let e, pr = Secure.Record.seal_params rc name in
-      let ct =
-        Bytebuf.sub t.scratch ~pos:(adu_pos + Adu.header_size) ~len:plen
-      in
+      let ct = Bytebuf.sub b ~pos:payload_pos ~len:plen in
       let tag =
         Cipher.Aead.seal_in_place ~key:pr.Ilp.aead_key ~n0:pr.Ilp.aead_n0
           ~n1:pr.Ilp.aead_n1 ~n2:pr.Ilp.aead_n2 ~aad:pr.Ilp.aead_aad ct
       in
       Secure.Record.write_trailer
-        (Bytebuf.sub t.scratch
-           ~pos:(adu_pos + Adu.header_size + plen)
-           ~len:Secure.Record.overhead)
+        (Bytebuf.sub b ~pos:(payload_pos + plen) ~len:Secure.Record.overhead)
         ~e ~tag);
-  let body = adu_pos + Adu.header_size + splen in
   (* The ADU CRC is computed with its own field zeroed (see Adu.encode). *)
   let crc =
-    let st =
-      Checksum.Crc32.feed_sub Checksum.Crc32.init t.scratch ~pos:adu_pos
-        ~len:32
-    in
-    let st = ref st in
-    for _ = 1 to 4 do
-      st := Checksum.Crc32.feed_byte !st 0
-    done;
-    Checksum.Crc32.finish
-      (Checksum.Crc32.feed_sub !st t.scratch
-         ~pos:(adu_pos + Adu.header_size)
-         ~len:splen)
+    let open Checksum.Crc32 in
+    let st = feed_sub init b ~pos:adu_pos ~len:32 in
+    let st = feed_byte (feed_byte (feed_byte (feed_byte st 0) 0) 0) 0 in
+    finish_int (feed_sub st b ~pos:payload_pos ~len:splen)
   in
-  let p = adu_pos + 32 in
-  Bytebuf.set_uint8 t.scratch p
-    (Int32.to_int (Int32.shift_right_logical crc 24) land 0xff);
-  Bytebuf.set_uint8 t.scratch (p + 1)
-    (Int32.to_int (Int32.shift_right_logical crc 16) land 0xff);
-  Bytebuf.set_uint8 t.scratch (p + 2)
-    (Int32.to_int (Int32.shift_right_logical crc 8) land 0xff);
-  Bytebuf.set_uint8 t.scratch (p + 3) (Int32.to_int crc land 0xff);
-  let total = Ctl.seal_in_place cfg.integrity t.scratch ~len:body in
-  let ok =
-    t.io.Dgram.send ~dst:cfg.server ~dst_port:cfg.server_port
-      ~src_port:(port_of t k)
-      (Bytebuf.take t.scratch total)
-  in
-  t.stats.sent_datagrams <- t.stats.sent_datagrams + 1;
-  t.stats.sent_bytes <- t.stats.sent_bytes + total;
-  if not ok then t.stats.send_failed <- t.stats.send_failed + 1
+  set32 b (adu_pos + 32) crc;
+  ignore (Ctl.seal_in_place cfg.integrity b ~len:(payload_pos + splen));
+  send t k t.data_view
 
 let emit_close t k =
   let body =
     Ctl.write_close t.scratch ~stream:(stream_of t k)
       ~total:t.cfg.adus_per_session
   in
-  let total = Ctl.seal_in_place t.cfg.integrity t.scratch ~len:body in
-  let ok =
-    t.io.Dgram.send ~dst:t.cfg.server ~dst_port:t.cfg.server_port
-      ~src_port:(port_of t k)
-      (Bytebuf.take t.scratch total)
-  in
-  t.stats.sent_datagrams <- t.stats.sent_datagrams + 1;
-  t.stats.sent_bytes <- t.stats.sent_bytes + total;
-  if not ok then t.stats.send_failed <- t.stats.send_failed + 1
+  ignore (Ctl.seal_in_place t.cfg.integrity t.scratch ~len:body);
+  send t k t.close_view
 
 let is_done t k = Bytes.get t.done_flags k <> '\000'
 
 let handle t ~port buf =
-  match Ctl.unseal t.cfg.integrity buf with
-  | None -> ()
-  | Some body -> (
-      match Ctl.parse body with
-      | Some (Ctl.Done { stream }) -> (
-          t.stats.dones_rx <- t.stats.dones_rx + 1;
-          match session_of t ~port ~stream with
-          | Some k when not (is_done t k) ->
-              Bytes.set t.done_flags k '\001';
-              t.done_total <- t.done_total + 1
-          | Some _ | None -> ())
-      | Some (Ctl.Nack { stream; indices; _ }) -> (
-          t.stats.nacks_rx <- t.stats.nacks_rx + 1;
-          match session_of t ~port ~stream with
-          | Some k ->
-              List.iter
-                (fun i ->
-                  if i >= 0 && i < t.cfg.adus_per_session then
-                    Queue.add (k, i) t.regen)
-                indices
-          | None -> ())
-      | Some (Ctl.Close _) | Some (Ctl.Gone _) | None -> ())
+  let len =
+    Ctl.unsealed_length t.cfg.integrity buf ~len:(Bytebuf.length buf)
+  in
+  let c = t.ctl in
+  let tag = if len < 0 then -1 else Ctl.read c buf ~len in
+  if tag = Ctl.tag_done then begin
+    t.stats.dones_rx <- t.stats.dones_rx + 1;
+    let k = session_of t ~port ~stream:c.Ctl.stream in
+    if k >= 0 && not (is_done t k) then begin
+      Bytes.set t.done_flags k '\001';
+      t.done_total <- t.done_total + 1
+    end
+  end
+  else if tag = Ctl.tag_nack then begin
+    t.stats.nacks_rx <- t.stats.nacks_rx + 1;
+    let k = session_of t ~port ~stream:c.Ctl.stream in
+    if k >= 0 then
+      for j = 0 to c.Ctl.count - 1 do
+        let i = Ctl.index c buf j in
+        if i < t.cfg.adus_per_session then Queue.add (k, i) t.regen
+      done
+  end
 
 let create ~io cfg =
   if cfg.sessions < 1 then invalid_arg "Loadgen.create: sessions";
@@ -207,12 +202,17 @@ let create ~io cfg =
   in
   if dgram_size > io.Dgram.max_payload then
     invalid_arg "Loadgen.create: payload_len exceeds the substrate MTU";
+  let trailer = match cfg.integrity with Some _ -> Ctl.trailer_size | None -> 0 in
+  let scratch = Bytebuf.create (max dgram_size 64) in
   let t =
     {
       cfg;
       io;
       sec = Option.map Secure.Record.clone cfg.secure;
-      scratch = Bytebuf.create (max dgram_size 64);
+      scratch;
+      data_view = Bytebuf.take scratch (dgram_size - Ctl.trailer_size + trailer);
+      close_view = Bytebuf.take scratch (7 + trailer);
+      ctl = Ctl.fields ();
       done_flags = Bytes.make cfg.sessions '\000';
       done_total = 0;
       cursor = 0;

@@ -27,10 +27,9 @@ let create ~buckets ~rate ~burst () =
     buckets;
   }
 
-let bucket_of t key =
-  Int64.to_int (Int64.rem (Int64.logand key Int64.max_int) (Int64.of_int t.buckets))
+let bucket_of t key = (key land max_int) mod t.buckets
 
-let allow t ~key ~now =
+let allow_int t ~key ~now =
   let i = bucket_of t key in
   let elapsed = now -. t.stamp.(i) in
   let filled =
@@ -48,4 +47,5 @@ let allow t ~key ~now =
     false
   end
 
-let tokens_left t ~key = t.tokens.(bucket_of t key)
+let allow t ~key ~now = allow_int t ~key:(Int64.to_int key) ~now
+let tokens_left t ~key = t.tokens.(bucket_of t (Int64.to_int key))

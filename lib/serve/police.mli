@@ -22,6 +22,12 @@ val allow : t -> key:int64 -> now:float -> bool
     allocation-free. [now] is the backend clock ({!Rt.Sched}); calls
     with non-monotone [now] are safe (no refill on backwards time). *)
 
+val allow_int : t -> key:int -> now:float -> bool
+(** {!allow} with the key as an int — {!Demux.hash_int} — so that the
+    call passes no boxed [int64]: the form the serve engine uses on
+    every control datagram and admission. [allow ~key] is
+    [allow_int ~key:(Int64.to_int key)]. *)
+
 val tokens_left : t -> key:int64 -> float
 (** Current token count of [key]'s bucket (as of its last refill) — for
     tests. *)

@@ -78,8 +78,13 @@ let load_state_name = function
   | Shedding -> "shedding"
   | Brownout -> "brownout"
 
+(* A session is also its own key in the shard table: [k_peer],
+   [k_port] and [k_stream] repeat [key]'s fields, and a per-shard probe
+   session whose only live fields are those three looks a datagram's
+   session up without building a key. Dropped sessions go on a per-shard
+   free list through [next_free] and are reused by the next admission. *)
 type session = {
-  key : key;
+  mutable key : key;
   rx : Rx.t;
   mutable reasm : Framing.reassembler option;  (* multi-fragment only *)
   mutable last_rx : float;
@@ -87,22 +92,51 @@ type session = {
   mutable completed_at : float;
   mutable nack_tries : int;
   mutable last_nack : float;
+  mutable k_peer : int;
+  mutable k_port : int;
+  mutable k_stream : int;
+  mutable next_free : session;
 }
 
-type pending = {
-  p_src : int;
-  p_src_port : int;
-  p_buf : Bytebuf.t;  (* the datagram: a view of [p_staging] *)
-  p_staging : Bytebuf.t;  (* the rx_pool buffer, released after dispatch *)
-}
+let blank_key = { peer = 0; peer_port = 0; stream = 0 }
+let nil_rx = Rx.create ()
 
-type outmsg = {
-  o_dst : int;
-  o_dst_port : int;
-  o_buf : Bytebuf.t;  (* the sealed message: a view of [o_full] *)
-  o_full : Bytebuf.t;
-  o_pooled : bool;  (* [o_full] is a ctl_pool buffer, not a fallback *)
-}
+(* "No session": the end of a free list, and what a refused lookup
+   returns. Never in a table, never handed to a caller. *)
+let rec nil_session =
+  {
+    key = blank_key;
+    rx = nil_rx;
+    reasm = None;
+    last_rx = 0.;
+    completed = false;
+    completed_at = 0.;
+    nack_tries = 0;
+    last_nack = 0.;
+    k_peer = -1;
+    k_port = -1;
+    k_stream = -1;
+    next_free = nil_session;
+  }
+
+let fresh_session () = { nil_session with rx = Rx.create () }
+
+module Table = Hashtbl.Make (struct
+  type t = session
+
+  let equal a b =
+    a.k_peer = b.k_peer && a.k_port = b.k_port && a.k_stream = b.k_stream
+
+  (* The table indexes by the low bits, and the shard was picked from the
+     low bits of the same hash: take the high half instead. *)
+  let hash s =
+    Demux.hash_int ~peer:s.k_peer ~peer_port:s.k_port ~stream:s.k_stream
+    lsr 31
+end)
+
+(* Sessions kept for reuse per shard, at most: enough for the churn of
+   many short sessions, bounded so a burst's worth is not held forever. *)
+let free_cap = 4096
 
 type counters = {
   c_arrivals : Obs.Counter.t;
@@ -125,20 +159,43 @@ type counters = {
   c_drops : Obs.Counter.t array;  (* indexed by Ingress.reason_index *)
 }
 
+(* The inbox and the outbox are slot arrays filled from 0 and emptied
+   whole: each slot owns a staging buffer made at create, and holds its
+   datagram's length and addresses as ints, so queuing a datagram or a
+   control reply allocates nothing. Every [pump] drains the inboxes and
+   then the outboxes; [ingest] and [harvest] fill them between pumps. *)
 type shard = {
   sid : int;
   lock : Mutex.t;
-  sessions : (key, session) Hashtbl.t;
-  inbox : pending Queue.t;
-  outbox : outmsg Queue.t;
-  rx_pool : Pool.t;
-  ctl_pool : Pool.t;
+  sessions : session Table.t;
+  probe : session;  (* lookup key, see [find] *)
+  mutable free : session;  (* recycled sessions, through [next_free] *)
+  mutable free_count : int;
+  in_buf : Bytebuf.t array;  (* rx_bufs_per_shard staging slots *)
+  in_len : int array;
+  in_src : int array;
+  in_port : int array;
+  mutable in_count : int;
+  out_buf : Bytebuf.t array;  (* ctl_bufs_per_shard control slots *)
+  out_view : Bytebuf.t array;  (* the sealed reply: a view of [out_buf] *)
+  out_dst : int array;
+  out_port : int array;
+  mutable out_count : int;
+  mutable spill : (int * int * Bytebuf.t) list;
+      (* replies past the last slot, newest first, in fresh buffers *)
+  mutable spill_count : int;
   reasm_pool : Pool.t;
   scratch : Bytebuf.t;  (* stage-2 destination, one per shard domain *)
+  mutable scratch_view : Bytebuf.t;  (* its prefix of the last length run *)
+  frag : Framing.fields;  (* parse scratch, one datagram at a time *)
+  adu : Adu.fields;
+  ctl : Ctl.fields;
   ctr : counters;
   admit_police : Police.t;  (* session creation, under the shard lock *)
   ctl_police : Police.t;  (* control traffic, under the shard lock *)
   sh_secure : Secure.Record.t option;  (* per-shard record-layer clone *)
+  mutable refused : Ingress.reason option;
+      (* why the last [gated_session] returned [nil_session] *)
   mutable pending_reason : Ingress.reason option;
       (* drop reason surfaced by a reassembler-driven delivery, so the
          completing datagram is attributed to it (e.g. [Auth]) *)
@@ -153,9 +210,11 @@ type t = {
   io : Dgram.t option;
   pool : Par.Pool.t option;
   shards : shard array;
+  mutable tasks : (unit -> unit) array;  (* one [process_shard] per shard *)
   limits : Ingress.limits;
   on_adu : (key -> Adu.t -> unit) option;
   on_view : (key -> Wire.View.t -> unit) option;
+  stage2 : Ilp.compiled;  (* [config.stage2_plan], compiled at create *)
   stage2_prog : Wire.Schema.prog option;  (* compiled once at create *)
   on_complete : (key -> delivered:int -> gone:int -> unit) option;
   mutable load : load_state;
@@ -167,9 +226,8 @@ type t = {
 
 let load_state t = t.load
 
-(* The memory budget is allocated up front: fill each pool's free list at
-   create so steady state never sees a fresh buffer — the zero-allocation
-   gate then measures the hot path, not warm-up timing. *)
+(* The reassembly budget is allocated up front: fill the pool's free
+   list at create so steady state never sees a fresh buffer. *)
 let rec warm pool n =
   if n > 0 then
     match Pool.try_acquire pool with
@@ -183,37 +241,43 @@ let make_shard config registry sid =
     Obs.Registry.counter ?registry
       (Printf.sprintf "%s.shard%d.%s" config.obs_prefix sid name)
   in
-  let sessions = Hashtbl.create 256 in
+  let sessions = Table.create 256 in
   Obs.Registry.pull ?registry
     (Printf.sprintf "%s.shard%d.sessions" config.obs_prefix sid)
-    (fun () -> float_of_int (Hashtbl.length sessions));
-  let rx_pool =
-    Pool.create ~capacity:config.rx_bufs_per_shard
-      ~max_outstanding:config.rx_bufs_per_shard ~buf_size:config.rx_buf_size
-      ()
-  in
-  let ctl_pool =
-    Pool.create ~capacity:config.ctl_bufs_per_shard
-      ~max_outstanding:config.ctl_bufs_per_shard ~buf_size:config.rx_buf_size
-      ()
-  in
+    (fun () -> float_of_int (Table.length sessions));
+  let slots n = Array.init n (fun _ -> Bytebuf.create config.rx_buf_size) in
+  let out_buf = slots config.ctl_bufs_per_shard in
   let reasm_pool =
     Pool.create ~capacity:config.reasm_bufs_per_shard
       ~buf_size:(config.max_adu + Adu.header_size) ()
   in
-  warm rx_pool config.rx_bufs_per_shard;
-  warm ctl_pool config.ctl_bufs_per_shard;
   warm reasm_pool config.reasm_bufs_per_shard;
+  let scratch = Bytebuf.create config.max_adu in
   {
     sid;
     lock = Mutex.create ();
     sessions;
-    inbox = Queue.create ();
-    outbox = Queue.create ();
-    rx_pool;
-    ctl_pool;
+    probe = fresh_session ();
+    free = nil_session;
+    free_count = 0;
+    in_buf = slots config.rx_bufs_per_shard;
+    in_len = Array.make config.rx_bufs_per_shard 0;
+    in_src = Array.make config.rx_bufs_per_shard 0;
+    in_port = Array.make config.rx_bufs_per_shard 0;
+    in_count = 0;
+    out_buf;
+    out_view = Array.map (fun b -> Bytebuf.take b 0) out_buf;
+    out_dst = Array.make config.ctl_bufs_per_shard 0;
+    out_port = Array.make config.ctl_bufs_per_shard 0;
+    out_count = 0;
+    spill = [];
+    spill_count = 0;
     reasm_pool;
-    scratch = Bytebuf.create config.max_adu;
+    scratch;
+    scratch_view = Bytebuf.take scratch 0;
+    frag = Framing.fields ();
+    adu = Adu.fields ();
+    ctl = Ctl.fields ();
     ctr =
       {
         c_arrivals = c "arrivals";
@@ -245,6 +309,7 @@ let make_shard config registry sid =
       Police.create ~buckets:config.police_buckets ~rate:config.ctl_rate
         ~burst:config.ctl_burst ();
     sh_secure = Option.map Secure.Record.clone config.secure;
+    refused = None;
     pending_reason = None;
     peak_sessions = 0;
     inbox_peak = 0;
@@ -255,6 +320,15 @@ let count_drop sh reason =
   Obs.Counter.incr sh.ctr.c_drops.(Ingress.reason_index reason)
 
 (* ---- session bookkeeping (all under the owning shard's lock) ---- *)
+
+let find sh ~peer ~peer_port ~stream =
+  let p = sh.probe in
+  p.k_peer <- peer;
+  p.k_port <- peer_port;
+  p.k_stream <- stream;
+  match Table.find sh.sessions p with
+  | s -> s
+  | exception Not_found -> nil_session
 
 (* The reassembler's retired-index table rides the frontier. *)
 let retire s =
@@ -269,90 +343,102 @@ let drop_session sh s =
      would strand that partial's pooled buffer — a budget leak a churn
      flood turns into exhaustion. *)
   (match s.reasm with Some r -> Framing.clear r | None -> ());
-  Hashtbl.remove sh.sessions s.key
+  Table.remove sh.sessions s;
+  if sh.free_count < free_cap then begin
+    s.reasm <- None;
+    s.next_free <- sh.free;
+    sh.free <- s;
+    sh.free_count <- sh.free_count + 1
+  end
 
 (* Victim choice when a shard is at capacity: a completed session that is
    merely lingering for a late re-CLOSE beats any live one; among
    completed, the longest-done; among live, the longest-idle (LRU). *)
 let evict_one sh =
   let victim =
-    Hashtbl.fold
-      (fun _ s best ->
-        match best with
-        | None -> Some s
-        | Some b ->
-            let better =
-              if s.completed <> b.completed then s.completed
-              else if s.completed then s.completed_at < b.completed_at
-              else s.last_rx < b.last_rx
-            in
-            if better then Some s else best)
-      sh.sessions None
+    Table.fold
+      (fun s _ b ->
+        if b == nil_session then s
+        else
+          let better =
+            if s.completed <> b.completed then s.completed
+            else if s.completed then s.completed_at < b.completed_at
+            else s.last_rx < b.last_rx
+          in
+          if better then s else b)
+      sh.sessions nil_session
   in
-  match victim with
-  | Some s ->
-      drop_session sh s;
-      Obs.Counter.incr sh.ctr.c_evicted
-  | None -> ()
+  if victim != nil_session then begin
+    drop_session sh victim;
+    Obs.Counter.incr sh.ctr.c_evicted
+  end
 
-let admit t sh k now =
-  if Hashtbl.length sh.sessions >= t.config.max_sessions_per_shard then
+(* The one place a session key is built. *)
+let admit t sh ~peer ~peer_port ~stream now =
+  if Table.length sh.sessions >= t.config.max_sessions_per_shard then
     evict_one sh;
   let s =
-    {
-      key = k;
-      rx = Rx.create ();
-      reasm = None;
-      last_rx = now;
-      completed = false;
-      completed_at = 0.;
-      nack_tries = 0;
-      last_nack = now;
-    }
+    if sh.free == nil_session then fresh_session ()
+    else begin
+      let s = sh.free in
+      sh.free <- s.next_free;
+      sh.free_count <- sh.free_count - 1;
+      s.next_free <- nil_session;
+      Rx.reset s.rx;
+      s
+    end
   in
-  Hashtbl.replace sh.sessions k s;
+  s.key <- { peer; peer_port; stream };
+  s.k_peer <- peer;
+  s.k_port <- peer_port;
+  s.k_stream <- stream;
+  s.last_rx <- now;
+  s.completed <- false;
+  s.completed_at <- 0.;
+  s.nack_tries <- 0;
+  s.last_nack <- now;
+  Table.replace sh.sessions s s;
   Obs.Counter.incr sh.ctr.c_admitted;
-  let live = Hashtbl.length sh.sessions in
+  let live = Table.length sh.sessions in
   if live > sh.peak_sessions then sh.peak_sessions <- live;
   s
 
 (* ---- control replies (queued; the main thread drains after pump) ---- *)
 
-let queue_ctl t sh ~dst ~dst_port write =
-  (match Pool.try_acquire sh.ctl_pool with
-  | Some buf ->
-      let len = write buf in
-      let total = Ctl.seal_in_place t.config.integrity buf ~len in
-      Queue.add
-        {
-          o_dst = dst;
-          o_dst_port = dst_port;
-          o_buf = Bytebuf.take buf total;
-          o_full = buf;
-          o_pooled = true;
-        }
-        sh.outbox
-  | None ->
-      Obs.Counter.incr sh.ctr.c_fallback_allocs;
-      let buf = Bytebuf.create t.config.rx_buf_size in
-      let len = write buf in
-      let total = Ctl.seal_in_place t.config.integrity buf ~len in
-      Queue.add
-        {
-          o_dst = dst;
-          o_dst_port = dst_port;
-          o_buf = Bytebuf.take buf total;
-          o_full = buf;
-          o_pooled = false;
-        }
-        sh.outbox);
-  let depth = Queue.length sh.outbox in
+(* The buffer the next reply is written into: the next outbox slot's,
+   or a fresh one once every slot is taken. *)
+let ctl_buf t sh =
+  if sh.out_count < Array.length sh.out_buf then sh.out_buf.(sh.out_count)
+  else begin
+    Obs.Counter.incr sh.ctr.c_fallback_allocs;
+    Bytebuf.create t.config.rx_buf_size
+  end
+
+(* Seal the [len]-byte body [ctl_buf] returned and queue it. A slot keeps
+   the view of its last reply, so a run of same-length replies (every
+   DONE) builds no view either. *)
+let queue_ctl t sh ~dst ~dst_port buf ~len =
+  let total = Ctl.seal_in_place t.config.integrity buf ~len in
+  let i = sh.out_count in
+  if i < Array.length sh.out_buf then begin
+    if Bytebuf.length sh.out_view.(i) <> total then
+      sh.out_view.(i) <- Bytebuf.take buf total;
+    sh.out_dst.(i) <- dst;
+    sh.out_port.(i) <- dst_port;
+    sh.out_count <- i + 1
+  end
+  else begin
+    sh.spill <- (dst, dst_port, Bytebuf.take buf total) :: sh.spill;
+    sh.spill_count <- sh.spill_count + 1
+  end;
+  let depth = sh.out_count + sh.spill_count in
   if depth > sh.outbox_peak then sh.outbox_peak <- depth;
   Obs.Counter.incr sh.ctr.c_ctl_sent
 
 let send_done t sh s =
-  queue_ctl t sh ~dst:s.key.peer ~dst_port:s.key.peer_port (fun buf ->
-      Ctl.write_done buf ~stream:s.key.stream);
+  let buf = ctl_buf t sh in
+  let len = Ctl.write_done buf ~stream:s.key.stream in
+  queue_ctl t sh ~dst:s.key.peer ~dst_port:s.key.peer_port buf ~len;
   Obs.Counter.incr sh.ctr.c_dones
 
 let maybe_complete t sh s =
@@ -365,19 +451,54 @@ let maybe_complete t sh s =
     | None -> ()
   end
 
-(* Sender GONEs and locally declared losses settle alike; [c] counts
-   the indices that were still open. *)
-let settle_gone t sh s c indices =
-  List.iter
-    (fun i ->
-      match Rx.settle s.rx i ~delivered:false with
-      | Rx.Fresh -> Obs.Counter.incr c
-      | Rx.Dup | Rx.Beyond_window -> ())
-    indices;
+(* Sender GONEs and locally declared losses settle alike, one index at a
+   time; [c] counts the indices that were still open. [settled] closes
+   the batch. *)
+let settle_gone s c i =
+  match Rx.settle s.rx i ~delivered:false with
+  | Rx.Fresh -> Obs.Counter.incr c
+  | Rx.Dup | Rx.Beyond_window -> ()
+
+let settled t sh s =
   retire s;
   maybe_complete t sh s
 
 (* ---- stage 2 + delivery ---- *)
+
+(* [sh.scratch]'s first [n] bytes, as the stage-2 destination: the view
+   is rebuilt only when the length changes. *)
+let scratch_for sh n =
+  if Bytebuf.length sh.scratch_view <> n then
+    sh.scratch_view <- Bytebuf.take sh.scratch n;
+  sh.scratch_view
+
+(* Stage 2 over a delivered payload, into the shard scratch (a fresh
+   buffer, counted, past [max_adu]). *)
+let stage2 t sh s payload =
+  let plen = Bytebuf.length payload in
+  let dst =
+    if plen <= Bytebuf.length sh.scratch then scratch_for sh plen
+    else begin
+      Obs.Counter.incr sh.ctr.c_fallback_allocs;
+      Bytebuf.create plen
+    end
+  in
+  match t.stage2_prog with
+  | Some prog -> (
+      (* Lazy stage 2: same plan transform into the shard scratch, but a
+         validate pass instead of a decode — the on_view hook reads
+         fields on demand over the scratch bytes. Byzantine payloads land
+         in [view_invalid], never an exception. *)
+      let r = Ilp.run_view ~dst t.config.stage2_plan prog payload in
+      match r.Ilp.view with
+      | Ok (view, _) ->
+          Obs.Counter.incr sh.ctr.c_views;
+          (match t.on_view with Some f -> f s.key view | None -> ())
+      | Error _ -> Obs.Counter.incr sh.ctr.c_view_invalid)
+  | None -> if plen > 0 then Ilp.run_into t.stage2 ~dst payload
+
+(* What a failed record open yields: never delivered. *)
+let no_adu = Adu.make (Adu.name ~stream:0 ~index:0 ()) Bytebuf.empty
 
 (* Returns the drop reason when the unit must not count as served
    ([Auth], or [Window] for an ADU header index beyond the window);
@@ -396,189 +517,178 @@ let deliver_adu t sh s adu =
          index is un-retired so NACK repair can fetch the genuine bytes. *)
       let opened =
         match sh.sh_secure with
-        | None -> Ok adu
+        | None -> adu
         | Some rc -> (
             match
               Secure.Record.open_payload rc adu.Adu.name adu.Adu.payload
             with
-            | Ok ct -> Ok (Adu.make adu.Adu.name ct)
-            | Error _ -> Error Ingress.Auth)
+            | Ok ct -> Adu.make adu.Adu.name ct
+            | Error _ -> no_adu)
       in
-      match opened with
-      | Error reason ->
-          (match s.reasm with
-          | Some r -> Framing.unretire r ~index
-          | None -> ());
-          Some reason
-      | Ok adu ->
-      let payload = adu.Adu.payload in
-      let plen = Bytebuf.length payload in
-      (match t.stage2_prog with
-      | Some prog ->
-          (* Lazy stage 2: same plan transform into the shard scratch, but
-             a validate pass instead of a decode — the on_view hook reads
-             fields on demand over the scratch bytes. Byzantine payloads
-             land in [view_invalid], never an exception. *)
-          let r =
-            if plen <= Bytebuf.length sh.scratch then
-              Ilp.run_view
-                ~dst:(Bytebuf.take sh.scratch plen)
-                t.config.stage2_plan prog payload
-            else begin
-              Obs.Counter.incr sh.ctr.c_fallback_allocs;
-              Ilp.run_view t.config.stage2_plan prog payload
-            end
-          in
-          (match r.Ilp.view with
-          | Ok (view, _) ->
-              Obs.Counter.incr sh.ctr.c_views;
-              (match t.on_view with Some f -> f s.key view | None -> ())
-          | Error _ -> Obs.Counter.incr sh.ctr.c_view_invalid)
-      | None ->
-          if plen > 0 then
-            if plen <= Bytebuf.length sh.scratch then
-              ignore
-                (Ilp.run_fused
-                   ~dst:(Bytebuf.take sh.scratch plen)
-                   t.config.stage2_plan payload)
-            else begin
-              Obs.Counter.incr sh.ctr.c_fallback_allocs;
-              ignore (Ilp.run_fused t.config.stage2_plan payload)
-            end);
-      ignore (Rx.settle s.rx index ~delivered:true);
-      Obs.Counter.incr sh.ctr.c_delivered;
-      Obs.Counter.add sh.ctr.c_bytes plen;
-      (match t.on_adu with Some f -> f s.key adu | None -> ());
-      retire s;
-      maybe_complete t sh s;
-      None
+      if opened == no_adu then begin
+        (match s.reasm with
+        | Some r -> Framing.unretire r ~index
+        | None -> ());
+        Some Ingress.Auth
+      end
+      else begin
+        stage2 t sh s opened.Adu.payload;
+        ignore (Rx.settle s.rx index ~delivered:true);
+        Obs.Counter.incr sh.ctr.c_delivered;
+        Obs.Counter.add sh.ctr.c_bytes (Bytebuf.length opened.Adu.payload);
+        (match t.on_adu with Some f -> f s.key opened | None -> ());
+        retire s;
+        maybe_complete t sh s;
+        None
+      end
 
 (* ---- per-datagram dispatch (inside a shard task) ----
 
    Every handler returns [Some reason] (the datagram was dropped, count
-   it under that one reason) or [None] (accepted). Handlers are total:
-   the [Dispatch_error] guard in {!process_pending} is a last resort,
-   not a code path. *)
+   it under that one reason) or [None] (accepted); each [Some reason] is
+   a constant, so a drop allocates nothing. Handlers are total: the
+   [Dispatch_error] guard in {!process_pending} is a last resort, not a
+   code path. *)
 
-(* Admission gate for a datagram that would create a session: refused
-   outright in brownout, then rate-limited per peer. Returns the session
-   or the drop reason. *)
-let gated_admit t sh k now =
-  match Hashtbl.find_opt sh.sessions k with
-  | Some s -> Ok s
-  | None ->
-      if t.load = Brownout then Error Ingress.Shed
-      else if
-        not
-          (Police.allow sh.admit_police
-             ~key:(Demux.hash ~peer:k.peer ~peer_port:k.peer_port ~stream:0)
-             ~now)
-      then Error Ingress.Policed_new
-      else Ok (admit t sh k now)
+(* The session for a key, admitted through the gate when it is new:
+   refused outright in brownout, then rate-limited per peer. On refusal,
+   [nil_session] with the reason in [sh.refused]. *)
+let gated_session t sh now ~peer ~peer_port ~stream =
+  let s = find sh ~peer ~peer_port ~stream in
+  if s != nil_session then s
+  else if t.load = Brownout then begin
+    sh.refused <- Some Ingress.Shed;
+    nil_session
+  end
+  else if
+    not
+      (Police.allow_int sh.admit_police
+         ~key:(Demux.hash_int ~peer ~peer_port ~stream:0)
+         ~now)
+  then begin
+    sh.refused <- Some Ingress.Policed_new;
+    nil_session
+  end
+  else admit t sh ~peer ~peer_port ~stream now
 
-let handle_fragment t sh now ~src ~src_port body =
-  match Framing.parse_fragment_res body with
-  | Error _ -> Some Ingress.Frag_header
-  | Ok frag -> (
-      let k = { peer = src; peer_port = src_port; stream = frag.Framing.stream } in
-      match gated_admit t sh k now with
-      | Error reason -> Some reason
-      | Ok s -> (
-          s.last_rx <- now;
-          match Rx.admit s.rx frag.Framing.index with
-          | Rx.Dup ->
-              Obs.Counter.incr sh.ctr.c_dups;
-              None
-          | Rx.Beyond_window -> Some Ingress.Window
-          | Rx.Fresh ->
-              if frag.Framing.nfrags = 1 then (
-                (* The single-fragment fast path: the whole encoded ADU is
-                   already in the staged datagram — decode the view, no
-                   reassembler, no copy. *)
-                match Adu.decode_view_res frag.Framing.chunk with
-                | Error _ -> Some Ingress.Bad_adu
-                | Ok adu -> deliver_adu t sh s adu)
-              else begin
-                let r =
-                  match s.reasm with
-                  | Some r -> r
-                  | None ->
-                      let r =
-                        Framing.reassembler ~pool:sh.reasm_pool
-                          ~deliver:(fun adu ->
-                            sh.pending_reason <- deliver_adu t sh s adu)
-                          ()
-                      in
-                      s.reasm <- Some r;
-                      r
-                in
-                (* [push] reports malformed outcomes through its stats; the
-                   deltas attribute this datagram to exactly one reason. *)
-                let st = Framing.stats r in
-                let dups0 = st.Framing.duplicate_frags in
-                let corrupt0 = st.Framing.corrupt_adus in
-                let inconsistent0 = st.Framing.inconsistent_frags in
-                sh.pending_reason <- None;
-                Framing.push r frag;
-                if st.Framing.corrupt_adus > corrupt0 then Some Ingress.Bad_adu
-                else if st.Framing.inconsistent_frags > inconsistent0 then
-                  Some Ingress.Frag_header
-                else begin
-                  if st.Framing.duplicate_frags > dups0 then
-                    Obs.Counter.incr sh.ctr.c_dups;
-                  (* A completing push may have surfaced a delivery-time
-                     drop (record auth): charge this datagram with it. *)
-                  sh.pending_reason
-                end
-              end))
+(* A multi-fragment ADU goes through the session's reassembler, made on
+   its first fragment. *)
+let reassemble t sh s info =
+  let r =
+    match s.reasm with
+    | Some r -> r
+    | None ->
+        let r =
+          Framing.reassembler ~pool:sh.reasm_pool
+            ~deliver:(fun adu -> sh.pending_reason <- deliver_adu t sh s adu)
+            ()
+        in
+        s.reasm <- Some r;
+        r
+  in
+  (* [push] reports malformed outcomes through its stats; the deltas
+     attribute this datagram to exactly one reason. *)
+  let st = Framing.stats r in
+  let dups0 = st.Framing.duplicate_frags in
+  let corrupt0 = st.Framing.corrupt_adus in
+  let inconsistent0 = st.Framing.inconsistent_frags in
+  sh.pending_reason <- None;
+  Framing.push r info;
+  if st.Framing.corrupt_adus > corrupt0 then Some Ingress.Bad_adu
+  else if st.Framing.inconsistent_frags > inconsistent0 then
+    Some Ingress.Frag_header
+  else begin
+    if st.Framing.duplicate_frags > dups0 then Obs.Counter.incr sh.ctr.c_dups;
+    (* A completing push may have surfaced a delivery-time drop (record
+       auth): charge this datagram with it. *)
+    sh.pending_reason
+  end
 
-let handle_control t sh now ~src ~src_port body =
+let handle_fragment t sh now ~src ~src_port buf ~len =
+  let f = sh.frag in
+  match Framing.read_fragment f buf ~len with
+  | Some _ -> Some Ingress.Frag_header
+  | None -> (
+      let s =
+        gated_session t sh now ~peer:src ~peer_port:src_port
+          ~stream:f.Framing.h_stream
+      in
+      if s == nil_session then sh.refused
+      else begin
+        s.last_rx <- now;
+        match Rx.admit s.rx f.Framing.h_index with
+        | Rx.Dup ->
+            Obs.Counter.incr sh.ctr.c_dups;
+            None
+        | Rx.Beyond_window -> Some Ingress.Window
+        | Rx.Fresh ->
+            if f.Framing.h_nfrags = 1 then begin
+              (* The single-fragment fast path: the whole encoded ADU is
+                 already in the staged datagram — verify it in place, no
+                 reassembler, no copy. *)
+              let pos = Framing.fragment_header_size in
+              match Adu.read sh.adu buf ~pos ~len:f.Framing.h_chunk_len with
+              | Some _ -> Some Ingress.Bad_adu
+              | None ->
+                  deliver_adu t sh s
+                    (Adu.make (Adu.name_of sh.adu)
+                       (Bytebuf.sub buf ~pos:(pos + Adu.header_size)
+                          ~len:sh.adu.Adu.h_payload_len))
+            end
+            else reassemble t sh s (Framing.info_of f buf)
+      end)
+
+let handle_control t sh now ~src ~src_port buf ~len =
   if
     not
-      (Police.allow sh.ctl_police
-         ~key:(Demux.hash ~peer:src ~peer_port:src_port ~stream:0)
+      (Police.allow_int sh.ctl_police
+         ~key:(Demux.hash_int ~peer:src ~peer_port:src_port ~stream:0)
          ~now)
   then Some Ingress.Policed_ctl
   else
-    match Ctl.parse body with
-    | None -> Some Ingress.Ctl_malformed
-    | Some (Ctl.Close { stream; total }) -> (
-        match
-          gated_admit t sh { peer = src; peer_port = src_port; stream } now
-        with
-        | Error reason -> Some reason
-        | Ok s ->
-            s.last_rx <- now;
-            Rx.close s.rx total;
-            (* A CLOSE landing after completion means our DONE was lost. *)
-            if s.completed then send_done t sh s else maybe_complete t sh s;
-            None)
-    | Some (Ctl.Gone { stream; indices }) -> (
-        match
-          gated_admit t sh { peer = src; peer_port = src_port; stream } now
-        with
-        | Error reason -> Some reason
-        | Ok s ->
-            s.last_rx <- now;
-            settle_gone t sh s sh.ctr.c_gone indices;
-            None)
-    | Some (Ctl.Nack _) | Some (Ctl.Done _) -> None
+    let c = sh.ctl in
+    let tag = Ctl.read c buf ~len in
+    if tag < 0 then Some Ingress.Ctl_malformed
+    else if tag = Ctl.tag_close || tag = Ctl.tag_gone then begin
+      let s =
+        gated_session t sh now ~peer:src ~peer_port:src_port
+          ~stream:c.Ctl.stream
+      in
+      if s == nil_session then sh.refused
+      else begin
+        s.last_rx <- now;
+        if tag = Ctl.tag_close then begin
+          Rx.close s.rx c.Ctl.total;
+          (* A CLOSE landing after completion means our DONE was lost. *)
+          if s.completed then send_done t sh s else maybe_complete t sh s
+        end
+        else begin
+          for i = 0 to c.Ctl.count - 1 do
+            settle_gone s sh.ctr.c_gone (Ctl.index c buf i)
+          done;
+          settled t sh s
+        end;
+        None
+      end
+    end
+    else None (* NACK and DONE are sender-bound; nothing to do *)
 
-let dispatch t sh now p =
-  match Ctl.unseal t.config.integrity p.p_buf with
-  | None -> Some Ingress.Bad_crc
-  | Some body ->
-      if Bytebuf.length body = 0 then Some Ingress.Runt
-      else
-        let b0 = Bytebuf.get_uint8 body 0 in
-        if b0 = Framing.frag_magic then
-          handle_fragment t sh now ~src:p.p_src ~src_port:p.p_src_port body
-        else if b0 = Ctl.tag_fec then Some Ingress.Fec_unsupported
-        else handle_control t sh now ~src:p.p_src ~src_port:p.p_src_port body
+let dispatch t sh now i =
+  let buf = sh.in_buf.(i) in
+  let len = Ctl.unsealed_length t.config.integrity buf ~len:sh.in_len.(i) in
+  if len < 0 then Some Ingress.Bad_crc
+  else if len = 0 then Some Ingress.Runt
+  else
+    let src = sh.in_src.(i) and src_port = sh.in_port.(i) in
+    let b0 = Bytebuf.get_uint8 buf 0 in
+    if b0 = Framing.frag_magic then
+      handle_fragment t sh now ~src ~src_port buf ~len
+    else if b0 = Ctl.tag_fec then Some Ingress.Fec_unsupported
+    else handle_control t sh now ~src ~src_port buf ~len
 
-let process_pending t sh now p =
+let process_pending t sh now i =
   Obs.Counter.incr sh.ctr.c_datagrams;
-  match dispatch t sh now p with
+  match dispatch t sh now i with
   | None -> Obs.Counter.incr sh.ctr.c_accepted
   | Some reason -> count_drop sh reason
   | exception _ ->
@@ -586,17 +696,16 @@ let process_pending t sh now p =
          bug costs one counted datagram, never the server. *)
       count_drop sh Ingress.Dispatch_error
 
+(* Nothing between the lock and the unlock can raise: [process_pending]
+   catches everything dispatch does. *)
 let process_shard t sh =
   Mutex.lock sh.lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock sh.lock)
-    (fun () ->
-      let now = Rt.Sched.now t.sched in
-      while not (Queue.is_empty sh.inbox) do
-        let p = Queue.pop sh.inbox in
-        process_pending t sh now p;
-        Pool.release sh.rx_pool p.p_staging
-      done)
+  let now = Rt.Sched.now t.sched in
+  for i = 0 to sh.in_count - 1 do
+    process_pending t sh now i
+  done;
+  sh.in_count <- 0;
+  Mutex.unlock sh.lock
 
 (* ---- ingest (main thread: the bound handler or a test driver) ---- *)
 
@@ -606,74 +715,82 @@ let ingest t ~src ~src_port buf =
      accept or single drop reason it resolves to — is charged to exactly
      one shard: per-shard [arrivals = accepted + Σ drops] holds by
      construction. *)
+  let stream = Demux.stream_id buf in
   let sh =
-    match Demux.stream_of_datagram buf with
-    | None -> t.shards.(0)
-    | Some stream ->
-        t.shards.(Demux.shard_of ~shards:t.config.shards ~peer:src
-                    ~peer_port:src_port ~stream)
+    if stream < 0 then t.shards.(0)
+    else
+      t.shards.(Demux.shard_of ~shards:t.config.shards ~peer:src
+                  ~peer_port:src_port ~stream)
   in
   Obs.Counter.incr sh.ctr.c_arrivals;
-  let verdict =
-    if t.config.ingress_validation then Ingress.validate t.limits buf
-    else if len < 3 then Ingress.Reject Ingress.Runt
-    else if len > t.config.rx_buf_size then Ingress.Reject Ingress.Oversize
-    else Ingress.Accept 0
+  let refused =
+    if t.config.ingress_validation then Ingress.check t.limits buf
+    else if len < 3 then Some Ingress.Runt
+    else if len > t.config.rx_buf_size then Some Ingress.Oversize
+    else None
   in
-  match verdict with
-  | Ingress.Reject reason -> count_drop sh reason
-  | Ingress.Accept _ -> (
-      match Pool.try_acquire sh.rx_pool with
-      | None ->
-          (* The shard's staging budget is spent: admission control by
-             backpressure, counted, never blocking the ingest thread. *)
-          count_drop sh Ingress.Backpressure
-      | Some staging ->
-          Bytebuf.blit ~src:buf ~src_pos:0 ~dst:staging ~dst_pos:0 ~len;
-          Mutex.lock sh.lock;
-          Queue.add
-            {
-              p_src = src;
-              p_src_port = src_port;
-              p_buf = Bytebuf.take staging len;
-              p_staging = staging;
-            }
-            sh.inbox;
-          let depth = Queue.length sh.inbox in
-          if depth > sh.inbox_peak then sh.inbox_peak <- depth;
-          Mutex.unlock sh.lock)
+  match refused with
+  | Some reason -> count_drop sh reason
+  | None ->
+      Mutex.lock sh.lock;
+      let i = sh.in_count in
+      if i = Array.length sh.in_buf then begin
+        Mutex.unlock sh.lock;
+        (* The shard's staging budget is spent: admission control by
+           backpressure, counted, never blocking the ingest thread. *)
+        count_drop sh Ingress.Backpressure
+      end
+      else begin
+        Bytebuf.blit ~src:buf ~src_pos:0 ~dst:sh.in_buf.(i) ~dst_pos:0 ~len;
+        sh.in_len.(i) <- len;
+        sh.in_src.(i) <- src;
+        sh.in_port.(i) <- src_port;
+        sh.in_count <- i + 1;
+        if i + 1 > sh.inbox_peak then sh.inbox_peak <- i + 1;
+        Mutex.unlock sh.lock
+      end
 
 (* ---- outbox drain (main thread only: substrates are not thread-safe) ---- *)
 
 let drain_outboxes t =
-  Array.iter
-    (fun sh ->
-      Mutex.lock sh.lock;
-      while not (Queue.is_empty sh.outbox) do
-        let m = Queue.pop sh.outbox in
-        (match t.io with
-        | Some io ->
-            ignore
-              (io.Dgram.send ~dst:m.o_dst ~dst_port:m.o_dst_port
-                 ~src_port:t.config.port m.o_buf)
-        | None -> ());
-        if m.o_pooled then Pool.release sh.ctl_pool m.o_full
-      done;
-      Mutex.unlock sh.lock)
-    t.shards
+  for k = 0 to Array.length t.shards - 1 do
+    let sh = t.shards.(k) in
+    Mutex.lock sh.lock;
+    (match t.io with
+    | Some io ->
+        for i = 0 to sh.out_count - 1 do
+          ignore
+            (io.Dgram.send ~dst:sh.out_dst.(i) ~dst_port:sh.out_port.(i)
+               ~src_port:t.config.port sh.out_view.(i))
+        done;
+        if sh.spill <> [] then
+          List.iter
+            (fun (dst, dst_port, m) ->
+              ignore (io.Dgram.send ~dst ~dst_port ~src_port:t.config.port m))
+            (List.rev sh.spill)
+    | None -> ());
+    sh.out_count <- 0;
+    sh.spill <- [];
+    sh.spill_count <- 0;
+    Mutex.unlock sh.lock
+  done
 
 let pump t =
-  let busy =
-    Array.to_list t.shards
-    |> List.filter (fun sh -> not (Queue.is_empty sh.inbox))
-  in
-  (match (busy, t.pool) with
-  | [], _ -> ()
-  | [ sh ], _ -> process_shard t sh
-  | shs, Some pool when Par.Pool.size pool > 1 ->
-      Par.Pool.run pool
-        (Array.of_list (List.map (fun sh () -> process_shard t sh) shs))
-  | shs, _ -> List.iter (fun sh -> process_shard t sh) shs);
+  let busy = ref 0 and last = ref 0 in
+  for k = 0 to Array.length t.shards - 1 do
+    if t.shards.(k).in_count > 0 then begin
+      incr busy;
+      last := k
+    end
+  done;
+  (if !busy = 1 then process_shard t t.shards.(!last)
+   else if !busy > 1 then
+     match t.pool with
+     | Some pool when Par.Pool.size pool > 1 -> Par.Pool.run pool t.tasks
+     | _ ->
+         for k = 0 to Array.length t.shards - 1 do
+           if t.shards.(k).in_count > 0 then process_shard t t.shards.(k)
+         done);
   drain_outboxes t
 
 (* ---- harvest: idle/lingering eviction + NACK repair ---- *)
@@ -688,19 +805,24 @@ let repair t sh s now =
         (* Repair budget spent: declare the rest locally gone so the
            session can settle instead of hanging — the loss is reported
            in application terms, exactly like a sender GONE. *)
-        settle_gone t sh s sh.ctr.c_gone_local
-          (Rx.missing s.rx ~cap:Rx.window)
+        List.iter
+          (settle_gone s sh.ctr.c_gone_local)
+          (Rx.missing s.rx ~cap:Rx.window);
+        settled t sh s
       end
       else begin
-        (* Fit the NACK in one pooled control buffer: 13-byte body header,
-           4 bytes per index, 4-byte trailer. *)
+        (* Fit the NACK in one control slot: 13-byte body header, 4 bytes
+           per index, 4-byte trailer. *)
         let cap = min 256 ((t.config.rx_buf_size - 17) / 4) in
         match Rx.missing s.rx ~cap with
         | [] -> ()
         | missing ->
-            queue_ctl t sh ~dst:s.key.peer ~dst_port:s.key.peer_port (fun buf ->
-                Ctl.write_nack buf ~stream:s.key.stream
-                  ~have_below:(Rx.frontier s.rx) missing);
+            let buf = ctl_buf t sh in
+            let len =
+              Ctl.write_nack buf ~stream:s.key.stream
+                ~have_below:(Rx.frontier s.rx) missing
+            in
+            queue_ctl t sh ~dst:s.key.peer ~dst_port:s.key.peer_port buf ~len;
             Obs.Counter.incr sh.ctr.c_nacks;
             s.nack_tries <- s.nack_tries + 1;
             s.last_nack <- now
@@ -709,7 +831,7 @@ let repair t sh s now =
 
 (* Shedding tightens the timers (completed sessions go immediately,
    idle ones in half the time); brownout halves them again and — via
-   {!gated_admit} — refuses new admissions entirely. Completed-first
+   {!gated_session} — refuses new admissions entirely. Completed-first
    ordering is already {!evict_one}'s victim policy, so the ladder is
    completed-first → LRU → new-admission refusal, as load rises. *)
 let effective_linger t =
@@ -732,8 +854,8 @@ let harvest_shard t sh now =
     (fun () ->
       let linger = effective_linger t and idle = effective_idle t in
       let expired = ref [] in
-      Hashtbl.iter
-        (fun _ s ->
+      Table.iter
+        (fun s _ ->
           if s.completed then begin
             if now -. s.completed_at >= linger then expired := s :: !expired
           end
@@ -844,9 +966,11 @@ let create ~sched ?io ?pool ?registry ?on_adu ?on_view ?on_complete
       io;
       pool;
       shards;
+      tasks = [||];
       limits;
       on_adu;
       on_view;
+      stage2 = Ilp.compile config.stage2_plan;
       stage2_prog = Option.map Wire.Schema.prog_of_xdr config.stage2_schema;
       on_complete;
       load = Normal;
@@ -856,6 +980,7 @@ let create ~sched ?io ?pool ?registry ?on_adu ?on_view ?on_complete
       stopped = false;
     }
   in
+  t.tasks <- Array.map (fun sh () -> process_shard t sh) shards;
   Obs.Registry.pull ?registry
     (config.obs_prefix ^ ".load_state")
     (fun () -> float_of_int (load_state_index t.load));
@@ -994,49 +1119,37 @@ let totals t =
     (fun acc sh -> add_snapshot acc (snapshot_of_counters sh.ctr))
     zero_snapshot t.shards
 
-let shard_sessions t sid = Hashtbl.length t.shards.(sid).sessions
+let shard_sessions t sid = Table.length t.shards.(sid).sessions
 
 let live_sessions t =
-  Array.fold_left (fun acc sh -> acc + Hashtbl.length sh.sessions) 0 t.shards
+  Array.fold_left (fun acc sh -> acc + Table.length sh.sessions) 0 t.shards
 
 let peak_sessions t =
   Array.fold_left (fun acc sh -> acc + sh.peak_sessions) 0 t.shards
 
+(* Staging and control slots are made once at create and never counted
+   here: the only pool left is reassembly's. *)
 let pool_allocated t =
   Array.fold_left
-    (fun acc sh ->
-      acc
-      + (Pool.stats sh.rx_pool).Pool.allocated
-      + (Pool.stats sh.ctl_pool).Pool.allocated
-      + (Pool.stats sh.reasm_pool).Pool.allocated)
+    (fun acc sh -> acc + (Pool.stats sh.reasm_pool).Pool.allocated)
     0 t.shards
 
-let data_pool_allocated t =
-  Array.fold_left
-    (fun acc sh ->
-      acc
-      + (Pool.stats sh.rx_pool).Pool.allocated
-      + (Pool.stats sh.reasm_pool).Pool.allocated)
-    0 t.shards
+let data_pool_allocated = pool_allocated
 
 let pool_outstanding t =
   Array.fold_left
-    (fun acc sh ->
-      acc
-      + (Pool.stats sh.rx_pool).Pool.outstanding
-      + (Pool.stats sh.ctl_pool).Pool.outstanding
-      + (Pool.stats sh.reasm_pool).Pool.outstanding)
+    (fun acc sh -> acc + (Pool.stats sh.reasm_pool).Pool.outstanding)
     0 t.shards
 
 let shard_of_key t ~peer ~peer_port ~stream =
   Demux.shard_of ~shards:t.config.shards ~peer ~peer_port ~stream
 
 let locate t ~peer ~peer_port ~stream =
-  let k = { peer; peer_port; stream } in
   let found = ref None in
   Array.iter
     (fun sh ->
-      if !found = None && Hashtbl.mem sh.sessions k then found := Some sh.sid)
+      if !found = None && find sh ~peer ~peer_port ~stream != nil_session then
+        found := Some sh.sid)
     t.shards;
   !found
 
@@ -1054,25 +1167,21 @@ type session_view = {
 }
 
 let session_view t ~peer ~peer_port ~stream =
-  let k = { peer; peer_port; stream } in
   let sid = shard_of_key t ~peer ~peer_port ~stream in
-  match Hashtbl.find_opt t.shards.(sid).sessions k with
-  | None -> None
-  | Some s ->
-      Some
-        {
-          v_frontier = Rx.frontier s.rx;
-          v_total = Rx.total s.rx;
-          v_delivered = Rx.delivered s.rx;
-          v_gone = Rx.gone s.rx;
-          v_completed = s.completed;
-          v_ahead_load = ahead_load s;
-        }
+  let s = find t.shards.(sid) ~peer ~peer_port ~stream in
+  if s == nil_session then None
+  else
+    Some
+      {
+        v_frontier = Rx.frontier s.rx;
+        v_total = Rx.total s.rx;
+        v_delivered = Rx.delivered s.rx;
+        v_gone = Rx.gone s.rx;
+        v_completed = s.completed;
+        v_ahead_load = ahead_load s;
+      }
 
 let max_ahead_load t =
   Array.fold_left
-    (fun acc sh ->
-      Hashtbl.fold
-        (fun _ s m -> max m (ahead_load s))
-        sh.sessions acc)
+    (fun acc sh -> Table.fold (fun s _ m -> max m (ahead_load s)) sh.sessions acc)
     0 t.shards

@@ -427,7 +427,7 @@ let encode_int_array a =
   let content = int_array_content_size a in
   let total = 1 + len_size content + content in
   let buf = Bytebuf.create total in
-  let bytes, base, _ = Bytebuf.backing buf in
+  let bytes = Bytebuf.storage buf and base = Bytebuf.offset buf in
   let pos = ref 0 in
   let emit b =
     Bytes.unsafe_set bytes (base + !pos) (Char.unsafe_chr b);
@@ -499,7 +499,7 @@ let encode_int_array_with_checksum a =
   let content = int_array_content_size a in
   let total = 1 + len_size content + content in
   let buf = Bytebuf.create total in
-  let bytes, base, _ = Bytebuf.backing buf in
+  let bytes = Bytebuf.storage buf and base = Bytebuf.offset buf in
   let pos = ref 0 in
   let sum = ref 0 in
   let emit b =

@@ -451,7 +451,8 @@ let size p v = match p.p_sizer with Fixed k -> k | Dyn f -> f v
 let emit p sink v = p.p_emit sink v
 
 let validate p buf ~pos =
-  let b, base, len = Bytebuf.backing buf in
+  let b = Bytebuf.storage buf and base = Bytebuf.offset buf in
+  let len = Bytebuf.length buf in
   if pos < 0 || pos > len then Error "XDR: position outside the buffer"
   else
     match p.p_validate b (base + len) (base + pos) with

@@ -30,7 +30,7 @@ let wrong v what =
 (* Trusted reads: [make] already bounds-checked everything, so accessors
    use the raw backing like the fused kernels do. *)
 let u32 v pos =
-  let b, base, _ = Bytebuf.backing v.buf in
+  let b = Bytebuf.storage v.buf and base = Bytebuf.offset v.buf in
   let p = base + pos in
   let x =
     (Char.code (Bytes.unsafe_get b p) lsl 24)
@@ -41,7 +41,7 @@ let u32 v pos =
   (x lxor 0x8000_0000) - 0x8000_0000
 
 let u64 v pos =
-  let b, base, _ = Bytebuf.backing v.buf in
+  let b = Bytebuf.storage v.buf and base = Bytebuf.offset v.buf in
   let p = base + pos in
   let hi =
     (Char.code (Bytes.unsafe_get b p) lsl 24)

@@ -252,7 +252,7 @@ let rec pp_schema ppf = function
 let encode_int_array a =
   let n = Array.length a in
   let buf = Bytebuf.create (4 + (4 * n)) in
-  let bytes, base, _ = Bytebuf.backing buf in
+  let bytes = Bytebuf.storage buf and base = Bytebuf.offset buf in
   let set32 off v =
     Bytes.unsafe_set bytes (base + off) (Char.unsafe_chr ((v lsr 24) land 0xff));
     Bytes.unsafe_set bytes (base + off + 1) (Char.unsafe_chr ((v lsr 16) land 0xff));

@@ -692,6 +692,226 @@ let test_lazy_stage2_invalid_total () =
     totals.Server.view_invalid;
   Alcotest.(check int) "no views" 0 totals.Server.views
 
+
+(* --- the allocation-free serve path ---
+
+   Steady state allocates nothing per datagram on either end; the one
+   allocation left per delivered ADU is the [Adu.t] handed to [on_adu].
+   Counted in minor-heap words (what a minor collection, which stops
+   every domain, is paid in), over an epoch that reuses a warm engine. *)
+
+(* Every datagram one load-generator epoch emits, in order. *)
+let epoch_datagrams ~sessions ~adus ~port =
+  let io, sent = capture_io () in
+  let gen =
+    Loadgen.create ~io
+      {
+        Loadgen.default_config with
+        Loadgen.sessions;
+        adus_per_session = adus;
+        payload_len = 64;
+        base_port = port;
+        streams_per_port = sessions;
+        server = 1;
+        integrity;
+      }
+  in
+  while Loadgen.step gen ~budget:1024 > 0 do
+    ()
+  done;
+  Array.of_list (List.rev !sent)
+
+(* Ingest every datagram from peer 9, pumping every 256 as a window. *)
+let serve_all server dgrams =
+  for i = 0 to Array.length dgrams - 1 do
+    let src_port, buf = dgrams.(i) in
+    Server.ingest server ~src:9 ~src_port buf;
+    if i land 255 = 255 then Server.pump server
+  done;
+  Server.pump server
+
+let check_drop_law server =
+  for sid = 0 to Server.shard_count server - 1 do
+    let s = Server.shard_snapshot server sid in
+    Alcotest.(check int)
+      (Printf.sprintf "shard %d: arrivals = accepted + drops" sid)
+      s.Server.arrivals
+      (s.Server.accepted + s.Server.dropped)
+  done
+
+let minor_words f =
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. w0
+
+let test_receiver_words () =
+  let sessions = 512 and adus = 4 in
+  let engine = Engine.create () in
+  let delivered = ref 0 in
+  let server =
+    Server.create ~sched:(Engine.sched engine)
+      ~registry:(Obs.Registry.create ())
+      ~on_adu:(fun _ _ -> incr delivered)
+      ~config:
+        {
+          Server.default_config with
+          Server.shards = 4;
+          harvest_interval = 0.;
+          done_linger = 0.;
+        }
+      ()
+  in
+  (* The warm-up epoch fills the tables and, harvested, the free lists;
+     the measured one runs on a fresh source port. *)
+  serve_all server (epoch_datagrams ~sessions ~adus ~port:30_000);
+  Server.harvest server;
+  let dgrams = epoch_datagrams ~sessions ~adus ~port:31_000 in
+  let d0 = !delivered in
+  let words = minor_words (fun () -> serve_all server dgrams) in
+  let n = !delivered - d0 in
+  Alcotest.(check int) "every ADU delivered" (sessions * adus) n;
+  Alcotest.(check int) "every session done" (2 * sessions)
+    (Server.totals server).Server.dones;
+  check_drop_law server;
+  let per_adu = words /. float_of_int n in
+  if per_adu > 40. then
+    Alcotest.failf "%.1f minor words per delivered ADU (bound 40)" per_adu;
+  Server.stop server
+
+let test_sender_words () =
+  let sent = ref 0 in
+  let sink =
+    {
+      Dgram.send =
+        (fun ~dst:_ ~dst_port:_ ~src_port:_ _ ->
+          incr sent;
+          true);
+      bind = (fun ~port:_ _ -> ());
+      max_payload = 65507;
+    }
+  in
+  let gen port =
+    Loadgen.create ~io:sink
+      {
+        Loadgen.default_config with
+        Loadgen.sessions = 512;
+        adus_per_session = 4;
+        payload_len = 64;
+        base_port = port;
+        streams_per_port = 512;
+        server = 1;
+        integrity;
+      }
+  in
+  let drive g =
+    while Loadgen.step g ~budget:1024 > 0 do
+      ()
+    done
+  in
+  drive (gen 30_000);
+  let g = gen 31_000 in
+  let s0 = !sent in
+  let words = minor_words (fun () -> drive g) in
+  let n = !sent - s0 in
+  Alcotest.(check int) "every ADU and CLOSE sent" (512 * 5) n;
+  let per_dgram = words /. float_of_int n in
+  if per_dgram > 16. then
+    Alcotest.failf "%.1f minor words per datagram in Loadgen.step (bound 16)"
+      per_dgram
+
+(* A hostile flood of one malformed kind at a time: each drop is counted
+   under its one reason and costs at most 4 words (the first [bad_adu]
+   of the flood admits its session; the rest find it). *)
+let test_drops_allocate_nothing () =
+  let engine = Engine.create () in
+  let server =
+    Server.create ~sched:(Engine.sched engine)
+      ~registry:(Obs.Registry.create ())
+      ~config:
+        { Server.default_config with Server.shards = 4; harvest_interval = 0. }
+      ()
+  in
+  let seal = Ctl.seal integrity in
+  let frag index =
+    let adu =
+      Adu.make
+        (Adu.name ~stream:5 ~index ())
+        (Bytebuf.of_string (String.make 64 'x'))
+    in
+    List.hd (Framing.fragment ~mtu:1200 adu)
+  in
+  let flip b pos =
+    let b = Bytebuf.copy b in
+    Bytebuf.set_uint8 b pos (Bytebuf.get_uint8 b pos lxor 0x10);
+    b
+  in
+  let kinds =
+    [
+      (Ingress.Runt, Bytebuf.of_string "\xAD\x00");
+      ( Ingress.Frag_header,
+        (let b = Bytebuf.copy (frag 0) in
+         Bytebuf.set_uint8 b 9 0;
+         Bytebuf.set_uint8 b 10 0;
+         seal b) );
+      (* A payload byte flipped under a re-trued trailer: the ADU's own
+         CRC catches it on the shard. *)
+      (Ingress.Bad_adu, seal (flip (frag 1) 60));
+      (Ingress.Bad_crc, flip (seal (frag 2)) 40);
+      ( Ingress.Ctl_malformed,
+        seal (Bytebuf.take (Ctl.build_close ~stream:5 ~total:3) 5) );
+    ]
+  in
+  let flood = 1000 in
+  List.iter
+    (fun (reason, dgram) ->
+      let before = Server.drop_count server reason in
+      let words =
+        minor_words (fun () ->
+            for i = 1 to flood do
+              Server.ingest server ~src:4 ~src_port:4000 dgram;
+              if i land 255 = 0 then Server.pump server
+            done;
+            Server.pump server)
+      in
+      Alcotest.(check int)
+        (Ingress.reason_name reason ^ " drops counted")
+        flood
+        (Server.drop_count server reason - before);
+      let per_drop = words /. float_of_int flood in
+      if per_drop > 4. then
+        Alcotest.failf "%s: %.2f words per dropped datagram (bound 4)"
+          (Ingress.reason_name reason) per_drop)
+    kinds;
+  check_drop_law server;
+  Alcotest.(check int) "nothing accepted" 0 (Server.totals server).Server.accepted;
+  Server.stop server
+
+(* The serve engine's stage 2, [Checksum Crc32; Deliver_copy], lowers to
+   the hand-fused copy+CRC-32 kernel: same bytes and digest as the
+   layered reference, at any length and slice alignment, through both
+   [run_fused] and a compiled handle. *)
+let prop_copy_crc32_lowering =
+  QCheck.Test.make ~name:"copy+crc32 lowering = layered" ~count:300
+    QCheck.(triple (int_bound 2100) (int_bound 7) (int_bound 7))
+    (fun (n, soff, doff) ->
+      let src_store = Bytebuf.init (n + 8) (fun i -> Char.chr ((i * 37 + n) land 0xff)) in
+      let input = Bytebuf.sub src_store ~pos:soff ~len:n in
+      List.for_all
+        (fun plan ->
+          let layered = Ilp.run_layered plan input in
+          let dst = Bytebuf.sub (Bytebuf.create (n + 8)) ~pos:doff ~len:n in
+          let fused = Ilp.run_fused ~dst plan input in
+          let dst2 = Bytebuf.sub (Bytebuf.create (n + 8)) ~pos:doff ~len:n in
+          Ilp.run_into (Ilp.compile plan) ~dst:dst2 input;
+          Bytebuf.equal fused.Ilp.output layered.Ilp.output
+          && Bytebuf.equal dst2 layered.Ilp.output
+          && fused.Ilp.checksums = layered.Ilp.checksums)
+        [
+          [ Ilp.Checksum Checksum.Kind.Crc32; Ilp.Deliver_copy ];
+          [ Ilp.Deliver_copy; Ilp.Checksum Checksum.Kind.Crc32 ];
+          [ Ilp.Checksum Checksum.Kind.Crc32 ];
+        ])
+
 let () =
   Alcotest.run "serve"
     [
@@ -733,5 +953,15 @@ let () =
             test_lazy_stage2_views;
           Alcotest.test_case "invalid payloads are total" `Quick
             test_lazy_stage2_invalid_total;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "receiver words per ADU" `Quick
+            test_receiver_words;
+          Alcotest.test_case "loadgen words per datagram" `Quick
+            test_sender_words;
+          Alcotest.test_case "drops allocate nothing" `Quick
+            test_drops_allocate_nothing;
+          qcheck prop_copy_crc32_lowering;
         ] );
     ]
