@@ -118,9 +118,8 @@ let groups =
        allocates only the [Adu.t] it hands out, so what remains is the
        substrate's — the simulator's events on netsim, [Unix.recvfrom]'s
        results on real sockets. Each bound is 1.5x the largest value
-       measured on the 2-core review host at 4,000 and 100,000 sessions,
-       rounded up (netsim 234, rt 82; before the allocation-free path
-       the same rows read 636 and 506). *)
+       measured on a 2-core host at 4,000 and 100,000 sessions, rounded
+       up (netsim 234, rt 82). *)
     ( "serve",
       [
         Count (All, 1);

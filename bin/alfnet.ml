@@ -1301,9 +1301,8 @@ type serve_backend = {
 (* The common driver skeleton: [emit] pushes a bounded batch of loadgen
    datagrams, [turn] lets the backend carry them (and the replies), pump
    processes, and the steady-allocation window covers the second half of
-   the data phase — every staging/reassembly pool is warm by then, and
-   the control pool's own warm-up (DONEs, repair NACKs) starts only at
-   the CLOSE round, after the window has closed. *)
+   the data phase, when the reassembly pools are warm. Heap words are
+   counted over the whole drive, on every domain, per delivered ADU. *)
 let drive_serve b ~sessions ~adus ~payload ~shards ~domains
     ?(hostile : Hostile.t option) ~load_hw ~(gen : Loadgen.t)
     ~(server : Serve.t) ~registry () =
@@ -1329,9 +1328,9 @@ let drive_serve b ~sessions ~adus ~payload ~shards ~domains
     emitted := !emitted + sent;
     (match !window_base with
     | None when !emitted >= half_data && !emitted < data_emissions ->
-        window_base := Some (Serve.data_pool_allocated server)
+        window_base := Some (Serve.pool_allocated server)
     | Some base when (not !window_closed) && !emitted >= data_emissions ->
-        window_allocs := Serve.data_pool_allocated server - base;
+        window_allocs := Serve.pool_allocated server - base;
         window_closed := true
     | _ -> ());
     turn ();

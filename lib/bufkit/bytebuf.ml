@@ -54,6 +54,26 @@ let set_uint8 t i v =
   if v < 0 || v > 0xff then invalid_arg "Bytebuf.set_uint8: not a byte";
   set t i (Char.unsafe_chr v)
 
+let check_field t i n what =
+  if i < 0 || i + n > t.len then
+    bounds_error "%s: %d bytes at %d in slice of length %d" what n i t.len
+
+let get_uint16_be t i =
+  check_field t i 2 "Bytebuf.get_uint16_be";
+  Bytes.get_uint16_be t.data (t.off + i)
+
+let get_uint32_be t i =
+  check_field t i 4 "Bytebuf.get_uint32_be";
+  Int32.to_int (Bytes.get_int32_be t.data (t.off + i)) land 0xFFFF_FFFF
+
+let set_uint16_be t i v =
+  check_field t i 2 "Bytebuf.set_uint16_be";
+  Bytes.set_uint16_be t.data (t.off + i) (v land 0xFFFF)
+
+let set_uint32_be t i v =
+  check_field t i 4 "Bytebuf.set_uint32_be";
+  Bytes.set_int32_be t.data (t.off + i) (Int32.of_int v)
+
 let unsafe_get t i = Bytes.unsafe_get t.data (t.off + i)
 let unsafe_set t i c = Bytes.unsafe_set t.data (t.off + i) c
 let backing t = (t.data, t.off, t.len)

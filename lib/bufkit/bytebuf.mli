@@ -67,6 +67,17 @@ val set : t -> int -> char -> unit
 val get_uint8 : t -> int -> int
 val set_uint8 : t -> int -> int -> unit
 
+val get_uint16_be : t -> int -> int
+val get_uint32_be : t -> int -> int
+(** Big-endian unsigned fields as non-negative ints (no boxed [int32]):
+    what wire headers are parsed with on per-datagram paths. Raise
+    {!Bounds} outside the slice. *)
+
+val set_uint16_be : t -> int -> int -> unit
+val set_uint32_be : t -> int -> int -> unit
+(** Store the low 16 or 32 bits of an int, big-endian. Raise {!Bounds}
+    outside the slice. *)
+
 val unsafe_get : t -> int -> char
 val unsafe_set : t -> int -> char -> unit
 

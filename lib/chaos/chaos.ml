@@ -93,31 +93,9 @@ let auth_corrupting_dgram ~rng ~rate ~integrity (d : Alf_core.Dgram.t) =
               let pos = body - 1 - Rng.int rng ~bound:16 in
               Bytebuf.set_uint8 buf pos
                 (Bytebuf.get_uint8 buf pos lxor (1 lsl Rng.int rng ~bound:8));
-              (* Re-true the ADU CRC (computed with its own field zeroed,
-                 see Adu.encode) ... *)
-              let plen = body - adu_pos - Adu.header_size in
-              let crc =
-                let st =
-                  Checksum.Crc32.feed_sub Checksum.Crc32.init buf ~pos:adu_pos
-                    ~len:32
-                in
-                let st = ref st in
-                for _ = 1 to 4 do
-                  st := Checksum.Crc32.feed_byte !st 0
-                done;
-                Checksum.Crc32.finish
-                  (Checksum.Crc32.feed_sub !st buf
-                     ~pos:(adu_pos + Adu.header_size)
-                     ~len:plen)
-              in
-              let p = adu_pos + 32 in
-              Bytebuf.set_uint8 buf p
-                (Int32.to_int (Int32.shift_right_logical crc 24) land 0xff);
-              Bytebuf.set_uint8 buf (p + 1)
-                (Int32.to_int (Int32.shift_right_logical crc 16) land 0xff);
-              Bytebuf.set_uint8 buf (p + 2)
-                (Int32.to_int (Int32.shift_right_logical crc 8) land 0xff);
-              Bytebuf.set_uint8 buf (p + 3) (Int32.to_int crc land 0xff);
+              (* Re-true the ADU CRC ... *)
+              Adu.write_crc buf ~pos:adu_pos
+                ~payload_len:(body - adu_pos - Adu.header_size);
               (* ... and the datagram trailer over the whole unit. *)
               ignore (Ctl.seal_in_place integrity buf ~len:body);
               buf

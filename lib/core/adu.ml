@@ -28,6 +28,20 @@ let encoded_size t = header_size + Bytebuf.length t.payload
 
 exception Decode_error of string
 
+let u32 = Bytebuf.get_uint32_be
+
+(* The CRC covers the whole unit with its own field (bytes 32-35) taken
+   as zero: feed the bytes around the field plus four literal zeros
+   instead of copying the unit into zeroed scratch. *)
+let crc_at buf ~pos ~payload_len =
+  let open Checksum.Crc32 in
+  let st = feed_sub init buf ~pos ~len:32 in
+  let st = feed_byte (feed_byte (feed_byte (feed_byte st 0) 0) 0) 0 in
+  finish_int (feed_sub st buf ~pos:(pos + header_size) ~len:payload_len)
+
+let write_crc buf ~pos ~payload_len =
+  Bytebuf.set_uint32_be buf (pos + 32) (crc_at buf ~pos ~payload_len)
+
 let encode t =
   let plen = Bytebuf.length t.payload in
   let buf = Bytebuf.create (header_size + plen) in
@@ -41,11 +55,7 @@ let encode t =
   Cursor.put_int_as_u32be w plen;
   Cursor.put_u32be w 0l (* CRC-32 placeholder, bytes 32-35 *);
   Cursor.put_bytes w t.payload;
-  let crc = Checksum.Crc32.digest buf in
-  Bytebuf.set_uint8 buf 32 (Int32.to_int (Int32.shift_right_logical crc 24) land 0xff);
-  Bytebuf.set_uint8 buf 33 (Int32.to_int (Int32.shift_right_logical crc 16) land 0xff);
-  Bytebuf.set_uint8 buf 34 (Int32.to_int (Int32.shift_right_logical crc 8) land 0xff);
-  Bytebuf.set_uint8 buf 35 (Int32.to_int crc land 0xff);
+  write_crc buf ~pos:0 ~payload_len:plen;
   buf
 
 (* --- The allocation-free reader ---
@@ -86,35 +96,26 @@ let fields () =
     h_payload_len = 0;
   }
 
-let u16 buf off = (Bytebuf.get_uint8 buf off lsl 8) lor Bytebuf.get_uint8 buf (off + 1)
-let u32 buf off = (u16 buf off lsl 16) lor u16 buf (off + 2)
 
 let read f buf ~pos ~len =
   if len < header_size then Some Short
-  else if u16 buf pos <> magic then Some Bad_magic
+  else if Bytebuf.get_uint16_be buf pos <> magic then Some Bad_magic
   else begin
     let plen = u32 buf (pos + 28) in
     if len <> header_size + plen then Some Length_mismatch
-    else
-      (* The CRC is computed with its own field zeroed: feed the bytes
-         around the field plus four literal zeros instead of copying the
-         whole unit into a zeroed scratch buffer. *)
-      let open Checksum.Crc32 in
-      let st = feed_sub init buf ~pos ~len:32 in
-      let st = feed_byte (feed_byte (feed_byte (feed_byte st 0) 0) 0) 0 in
-      let crc = finish_int (feed_sub st buf ~pos:(pos + header_size) ~len:plen) in
-      if crc <> u32 buf (pos + 32) then Some Crc_mismatch
-      else begin
-        f.h_stream <- u16 buf (pos + 2);
-        f.h_index <- u32 buf (pos + 4);
-        (* The u64 field as [Int64.to_int] reads it: the low 63 bits. *)
-        f.h_dest_off <- (u32 buf (pos + 8) lsl 32) lor u32 buf (pos + 12);
-        f.h_dest_len <- u32 buf (pos + 16);
-        f.h_ts_hi <- u32 buf (pos + 20);
-        f.h_ts_lo <- u32 buf (pos + 24);
-        f.h_payload_len <- plen;
-        None
-      end
+    else if crc_at buf ~pos ~payload_len:plen <> u32 buf (pos + 32) then
+      Some Crc_mismatch
+    else begin
+      f.h_stream <- Bytebuf.get_uint16_be buf (pos + 2);
+      f.h_index <- u32 buf (pos + 4);
+      (* The u64 field as [Int64.to_int] reads it: the low 63 bits. *)
+      f.h_dest_off <- (u32 buf (pos + 8) lsl 32) lor u32 buf (pos + 12);
+      f.h_dest_len <- u32 buf (pos + 16);
+      f.h_ts_hi <- u32 buf (pos + 20);
+      f.h_ts_lo <- u32 buf (pos + 24);
+      f.h_payload_len <- plen;
+      None
+    end
   end
 
 let name_of f =
@@ -125,7 +126,10 @@ let name_of f =
     dest_len = f.h_dest_len;
     timestamp_us =
       (if f.h_ts_hi = 0 && f.h_ts_lo = 0 then 0L
-       else Int64.logor (Int64.shift_left (Int64.of_int f.h_ts_hi) 32) (Int64.of_int f.h_ts_lo));
+       else
+         Int64.logor
+           (Int64.shift_left (Int64.of_int f.h_ts_hi) 32)
+           (Int64.of_int f.h_ts_lo));
   }
 
 let decode_view_res buf =

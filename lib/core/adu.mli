@@ -53,6 +53,12 @@ val encode : t -> Bytebuf.t
 (** Header (magic, name, payload length, CRC-32 of everything) followed by
     payload, in one fresh buffer. *)
 
+val write_crc : Bytebuf.t -> pos:int -> payload_len:int -> unit
+(** [write_crc buf ~pos ~payload_len] fills in the CRC field of the
+    encoded ADU at [buf.(pos..)] whose header and payload are already in
+    place — the CRC {!encode} writes — for send paths that lay the unit
+    down field by field. Allocates nothing. *)
+
 val decode : Bytebuf.t -> t
 (** Raises {!Decode_error} on truncation, bad magic or CRC mismatch. The
     payload is a fresh copy. *)

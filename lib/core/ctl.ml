@@ -20,26 +20,11 @@ let tag_fec = 0xFE
 
 let trailer_size = 4
 
-let put_u8 buf off v = Bytebuf.set_uint8 buf off (v land 0xff)
-
-let put_be16 buf off v =
-  put_u8 buf off (v lsr 8);
-  put_u8 buf (off + 1) v
-
-let put_be32 buf off v =
-  put_be16 buf off (v lsr 16);
-  put_be16 buf (off + 2) v
-
-let get_be16 buf off =
-  (Bytebuf.get_uint8 buf off lsl 8) lor Bytebuf.get_uint8 buf (off + 1)
-
-let get_be32 buf off = (get_be16 buf off lsl 16) lor get_be16 buf (off + 2)
-
 let seal_in_place integrity buf ~len =
   match integrity with
   | None -> len
   | Some kind ->
-      put_be32 buf len
+      Bytebuf.set_uint32_be buf len
         (Checksum.Kind.digest_sub kind buf ~pos:0 ~len land 0xFFFFFFFF);
       len + trailer_size
 
@@ -62,7 +47,7 @@ let unsealed_length integrity buf ~len =
         let n = len - trailer_size in
         if
           Checksum.Kind.digest_sub kind buf ~pos:0 ~len:n land 0xFFFFFFFF
-          = get_be32 buf n
+          = Bytebuf.get_uint32_be buf n
         then n
         else -1
 
@@ -83,36 +68,36 @@ let room buf n what =
 
 let write_done buf ~stream =
   room buf 3 "Ctl.write_done";
-  put_u8 buf 0 tag_done;
-  put_be16 buf 1 stream;
+  Bytebuf.set_uint8 buf 0 tag_done;
+  Bytebuf.set_uint16_be buf 1 stream;
   3
 
 let write_close buf ~stream ~total =
   room buf 7 "Ctl.write_close";
-  put_u8 buf 0 tag_close;
-  put_be16 buf 1 stream;
-  put_be32 buf 3 total;
+  Bytebuf.set_uint8 buf 0 tag_close;
+  Bytebuf.set_uint16_be buf 1 stream;
+  Bytebuf.set_uint32_be buf 3 total;
   7
 
 let write_indices buf off indices =
-  List.iteri (fun i v -> put_be32 buf (off + (4 * i)) v) indices
+  List.iteri (fun i v -> Bytebuf.set_uint32_be buf (off + (4 * i)) v) indices
 
 let write_nack buf ~stream ~have_below indices =
   let count = List.length indices in
   room buf (9 + (4 * count)) "Ctl.write_nack";
-  put_u8 buf 0 tag_nack;
-  put_be16 buf 1 stream;
-  put_be32 buf 3 have_below;
-  put_be16 buf 7 count;
+  Bytebuf.set_uint8 buf 0 tag_nack;
+  Bytebuf.set_uint16_be buf 1 stream;
+  Bytebuf.set_uint32_be buf 3 have_below;
+  Bytebuf.set_uint16_be buf 7 count;
   write_indices buf 9 indices;
   9 + (4 * count)
 
 let write_gone buf ~stream indices =
   let count = List.length indices in
   room buf (5 + (4 * count)) "Ctl.write_gone";
-  put_u8 buf 0 tag_gone;
-  put_be16 buf 1 stream;
-  put_be16 buf 3 count;
+  Bytebuf.set_uint8 buf 0 tag_gone;
+  Bytebuf.set_uint16_be buf 1 stream;
+  Bytebuf.set_uint16_be buf 3 count;
   write_indices buf 5 indices;
   5 + (4 * count)
 
@@ -167,32 +152,32 @@ let read f buf ~len =
   if len < 3 then -1
   else
     let tag = Bytebuf.get_uint8 buf 0 in
-    f.stream <- get_be16 buf 1;
+    f.stream <- Bytebuf.get_uint16_be buf 1;
     if tag = tag_done then tag
     else if tag = tag_close then
       if len < 7 then -1
       else begin
-        f.total <- get_be32 buf 3;
+        f.total <- Bytebuf.get_uint32_be buf 3;
         tag
       end
     else if tag = tag_nack then
       if len < 9 then -1
       else begin
-        f.have_below <- get_be32 buf 3;
-        f.count <- get_be16 buf 7;
+        f.have_below <- Bytebuf.get_uint32_be buf 3;
+        f.count <- Bytebuf.get_uint16_be buf 7;
         f.first <- 9;
         if len < 9 + (4 * f.count) then -1 else tag
       end
     else if tag = tag_gone then
       if len < 5 then -1
       else begin
-        f.count <- get_be16 buf 3;
+        f.count <- Bytebuf.get_uint16_be buf 3;
         f.first <- 5;
         if len < 5 + (4 * f.count) then -1 else tag
       end
     else -1
 
-let index f buf i = get_be32 buf (f.first + (4 * i))
+let index f buf i = Bytebuf.get_uint32_be buf (f.first + (4 * i))
 
 let parse buf =
   let f = fields () in

@@ -118,21 +118,19 @@ let fields () =
     h_chunk_len = 0;
   }
 
-let u16 buf off = (Bytebuf.get_uint8 buf off lsl 8) lor Bytebuf.get_uint8 buf (off + 1)
-let u32 buf off = (u16 buf off lsl 16) lor u16 buf (off + 2)
 
 let read_fragment f buf ~len =
   if len < fragment_header_size then Some Short
   else if Bytebuf.get_uint8 buf 0 <> frag_magic then Some Bad_magic
   else begin
-    let frag_idx = u16 buf 7 and nfrags = u16 buf 9 in
-    let total_len = u32 buf 11 and frag_off = u32 buf 15 in
+    let frag_idx = Bytebuf.get_uint16_be buf 7 and nfrags = Bytebuf.get_uint16_be buf 9 in
+    let total_len = Bytebuf.get_uint32_be buf 11 and frag_off = Bytebuf.get_uint32_be buf 15 in
     let chunk_len = len - fragment_header_size in
     if nfrags = 0 || frag_idx >= nfrags then Some Inconsistent
     else if frag_off + chunk_len > total_len then Some Overrun
     else begin
-      f.h_stream <- u16 buf 1;
-      f.h_index <- u32 buf 3;
+      f.h_stream <- Bytebuf.get_uint16_be buf 1;
+      f.h_index <- Bytebuf.get_uint32_be buf 3;
       f.h_frag_idx <- frag_idx;
       f.h_nfrags <- nfrags;
       f.h_total_len <- total_len;

@@ -101,14 +101,6 @@ type limits = {
 
 type verdict = Accept of int | Reject of reason
 
-let u16 buf off = (Bytebuf.get_uint8 buf off lsl 8) lor Bytebuf.get_uint8 buf (off + 1)
-
-let u32 buf off =
-  (Bytebuf.get_uint8 buf off lsl 24)
-  lor (Bytebuf.get_uint8 buf (off + 1) lsl 16)
-  lor (Bytebuf.get_uint8 buf (off + 2) lsl 8)
-  lor Bytebuf.get_uint8 buf (off + 3)
-
 (* Every branch reads only fixed offsets already proven in range by the
    body-length checks, so the function is total by inspection: no
    exception, no allocation (each [Some reason] is a constant), O(1)
@@ -126,10 +118,10 @@ let check limits buf =
     | b0 when b0 = Framing.frag_magic ->
         if body < Framing.fragment_header_size then Some Frag_header
         else
-          let frag_idx = u16 buf 7 in
-          let nfrags = u16 buf 9 in
-          let total_len = u32 buf 11 in
-          let frag_off = u32 buf 15 in
+          let frag_idx = Bytebuf.get_uint16_be buf 7 in
+          let nfrags = Bytebuf.get_uint16_be buf 9 in
+          let total_len = Bytebuf.get_uint32_be buf 11 in
+          let frag_off = Bytebuf.get_uint32_be buf 15 in
           let chunk = body - Framing.fragment_header_size in
           if
             nfrags = 0 || frag_idx >= nfrags
@@ -142,15 +134,15 @@ let check limits buf =
     | b0 when b0 = Ctl.tag_close -> if body = 7 then None else Some Ctl_malformed
     | b0 when b0 = Ctl.tag_done -> if body = 3 then None else Some Ctl_malformed
     | b0 when b0 = Ctl.tag_nack ->
-        if body >= 9 && body = 9 + (4 * u16 buf 7) then None
+        if body >= 9 && body = 9 + (4 * Bytebuf.get_uint16_be buf 7) then None
         else Some Ctl_malformed
     | b0 when b0 = Ctl.tag_gone ->
-        if body >= 5 && body = 5 + (4 * u16 buf 3) then None
+        if body >= 5 && body = 5 + (4 * Bytebuf.get_uint16_be buf 3) then None
         else Some Ctl_malformed
     | b0 when b0 = Ctl.tag_fec -> Some Fec_unsupported
     | _ -> Some Bad_kind
 
 let validate limits buf =
   match check limits buf with
-  | None -> Accept (u16 buf 1)
+  | None -> Accept (Bytebuf.get_uint16_be buf 1)
   | Some reason -> Reject reason

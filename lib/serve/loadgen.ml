@@ -73,15 +73,6 @@ let session_of t ~port ~stream =
 
 let payload_byte k index j = (k * 131) + (index * 31) + (j * 7) + 5
 
-(* Big-endian stores straight into the scratch's backing bytes. *)
-let set16 buf off v =
-  Bytes.set_uint16_be (Bytebuf.storage buf) (Bytebuf.offset buf + off)
-    (v land 0xFFFF)
-
-let set32 buf off v =
-  Bytes.set_int32_be (Bytebuf.storage buf) (Bytebuf.offset buf + off)
-    (Int32.of_int v)
-
 let send t k view =
   let ok =
     t.io.Dgram.send ~dst:t.cfg.server ~dst_port:t.cfg.server_port
@@ -106,24 +97,24 @@ let emit_adu t k index =
   in
   let b = t.scratch and stream = stream_of t k in
   Bytebuf.set_uint8 b 0 Framing.frag_magic;
-  set16 b 1 stream;
-  set32 b 3 index;
-  set16 b 7 0 (* frag_idx *);
-  set16 b 9 1 (* nfrags *);
-  set32 b 11 (Adu.header_size + splen);
-  set32 b 15 0 (* frag_off *);
+  Bytebuf.set_uint16_be b 1 stream;
+  Bytebuf.set_uint32_be b 3 index;
+  Bytebuf.set_uint16_be b 7 0 (* frag_idx *);
+  Bytebuf.set_uint16_be b 9 1 (* nfrags *);
+  Bytebuf.set_uint32_be b 11 (Adu.header_size + splen);
+  Bytebuf.set_uint32_be b 15 0 (* frag_off *);
   let adu_pos = Framing.fragment_header_size in
   let payload_pos = adu_pos + Adu.header_size in
   let dest_off = index * plen in
-  set16 b adu_pos Adu.magic;
-  set16 b (adu_pos + 2) stream;
-  set32 b (adu_pos + 4) index;
-  set32 b (adu_pos + 8) (dest_off lsr 32);
-  set32 b (adu_pos + 12) dest_off;
-  set32 b (adu_pos + 16) plen (* dest_len *);
-  set32 b (adu_pos + 20) 0 (* timestamp_us *);
-  set32 b (adu_pos + 24) 0;
-  set32 b (adu_pos + 28) splen;
+  Bytebuf.set_uint16_be b adu_pos Adu.magic;
+  Bytebuf.set_uint16_be b (adu_pos + 2) stream;
+  Bytebuf.set_uint32_be b (adu_pos + 4) index;
+  Bytebuf.set_uint32_be b (adu_pos + 8) (dest_off lsr 32);
+  Bytebuf.set_uint32_be b (adu_pos + 12) dest_off;
+  Bytebuf.set_uint32_be b (adu_pos + 16) plen (* dest_len *);
+  Bytebuf.set_uint32_be b (adu_pos + 20) 0 (* timestamp_us *);
+  Bytebuf.set_uint32_be b (adu_pos + 24) 0;
+  Bytebuf.set_uint32_be b (adu_pos + 28) splen;
   let bytes = Bytebuf.storage b and base = Bytebuf.offset b + payload_pos in
   for j = 0 to plen - 1 do
     Bytes.unsafe_set bytes (base + j)
@@ -144,14 +135,7 @@ let emit_adu t k index =
       Secure.Record.write_trailer
         (Bytebuf.sub b ~pos:(payload_pos + plen) ~len:Secure.Record.overhead)
         ~e ~tag);
-  (* The ADU CRC is computed with its own field zeroed (see Adu.encode). *)
-  let crc =
-    let open Checksum.Crc32 in
-    let st = feed_sub init b ~pos:adu_pos ~len:32 in
-    let st = feed_byte (feed_byte (feed_byte (feed_byte st 0) 0) 0) 0 in
-    finish_int (feed_sub st b ~pos:payload_pos ~len:splen)
-  in
-  set32 b (adu_pos + 32) crc;
+  Adu.write_crc b ~pos:adu_pos ~payload_len:splen;
   ignore (Ctl.seal_in_place cfg.integrity b ~len:(payload_pos + splen));
   send t k t.data_view
 

@@ -1134,8 +1134,6 @@ let pool_allocated t =
     (fun acc sh -> acc + (Pool.stats sh.reasm_pool).Pool.allocated)
     0 t.shards
 
-let data_pool_allocated = pool_allocated
-
 let pool_outstanding t =
   Array.fold_left
     (fun acc sh -> acc + (Pool.stats sh.reasm_pool).Pool.outstanding)

@@ -16,9 +16,18 @@
     {!pump} the shard tasks run on worker domains; all sends are deferred
     through per-shard outboxes and flushed by the main thread after the
     batch — the datagram substrates are not thread-safe and never see a
-    worker domain. Memory is budgeted per shard by capped pools: when a
-    shard's staging pool is exhausted, arrivals for it are dropped and
-    counted ([drop.backpressure]) — backpressure, not allocation.
+    worker domain. Memory is budgeted per shard by fixed slot arrays:
+    when a shard's inbox slots are all taken, arrivals for it are dropped
+    and counted ([drop.backpressure]) — backpressure, not allocation.
+
+    {b Allocation.} In steady state the per-datagram path allocates
+    nothing on the heap — ingest, dispatch, parsing (into per-shard
+    scratch), stage 2 (the plan is compiled once, at {!create}), session
+    bookkeeping and control replies. The one allocation per delivered
+    ADU is the {!Adu.t} handed to [?on_adu]. Session records are reused
+    from a per-shard free list; a new session costs its [key] and its
+    table entry. Every drop reason is a constant, so a dropped datagram
+    allocates nothing either.
 
     {b Adversarial ingress.} Every arrival passes the total, alloc-free
     {!Ingress.validate} before demux, so no byte sequence can raise or
@@ -45,10 +54,13 @@ type config = {
   max_sessions_per_shard : int;  (** Admission cap; beyond it the shard
       evicts (completed-first, then LRU). *)
   rx_buf_size : int;  (** Staging buffer size >= the substrate MTU. *)
-  rx_bufs_per_shard : int;  (** Staging budget: bounds datagrams queued
-      per shard between pumps; exhaustion drops ([rx_dropped]). *)
-  ctl_bufs_per_shard : int;  (** Control-reply budget; exhaustion falls
-      back to allocation ([fallback_allocs]). *)
+  rx_bufs_per_shard : int;  (** Staging budget: the inbox slots (each
+      owning an [rx_buf_size] buffer, made at {!create}) that bound the
+      datagrams queued per shard between pumps; exhaustion drops
+      ([drop.backpressure]). *)
+  ctl_bufs_per_shard : int;  (** Control-reply budget: the outbox slots,
+      made the same way; exhaustion falls back to allocation
+      ([fallback_allocs]). *)
   reasm_bufs_per_shard : int;  (** Reassembly buffers (multi-fragment
       ADUs only — single-fragment ADUs never touch a reassembler). *)
   max_adu : int;  (** Largest decoded ADU the stage-2 scratch covers. *)
@@ -143,7 +155,7 @@ val load_state : t -> load_state
 
 val ingest : t -> src:int -> src_port:int -> Bytebuf.t -> unit
 (** Stage 0: route by {!Demux.shard_of} (reading the stream id pre-seal),
-    copy into the owning shard's staging pool, enqueue. The input buffer
+    copy into the owning shard's next inbox slot. The input buffer
     is borrowed — never retained — so substrate receive buffers recycle
     immediately. Main thread only. *)
 
@@ -210,20 +222,16 @@ val peak_sessions : t -> int
 (** Sum of per-shard high-water session counts. *)
 
 val pool_allocated : t -> int
-(** Fresh buffers ever created across all shard pools. *)
-
-val data_pool_allocated : t -> int
-(** Same, staging + reassembly pools only — the
+(** Fresh buffers ever created by the shards' reassembly pools — the
     zero-steady-state-allocation gate: its delta over a steady window of
-    the data phase must be 0 (the control pool legitimately warms up
-    later, when DONEs and repair NACKs start flowing). *)
+    the data phase must be 0. Staging and control slots are made once at
+    {!create} and never grow, so they are not counted. *)
 
 val pool_outstanding : t -> int
-(** Buffers currently acquired across every shard pool (staging, control
-    and reassembly) — the live footprint, and the eviction-leak probe:
-    once the queues are drained it is bounded by the {e live} sessions'
-    partials, however many sessions churned through, because dropping a
-    session releases every pooled buffer it held. *)
+(** Reassembly buffers currently held across every shard — the live
+    footprint, and the eviction-leak probe: it is bounded by the {e
+    live} sessions' partials, however many sessions churned through,
+    because dropping a session releases every pooled buffer it held. *)
 
 val shard_of_key : t -> peer:int -> peer_port:int -> stream:int -> int
 val locate : t -> peer:int -> peer_port:int -> stream:int -> int option
