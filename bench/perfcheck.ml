@@ -194,7 +194,8 @@ let compare_field row key cmp bound =
 let selected rows = function
   | All -> rows
   | Having k -> List.filter (fun r -> Obs.Json.member k r <> None) rows
-  | Prefixed p -> List.filter (fun r -> String.starts_with ~prefix:p (name_of r)) rows
+  | Prefixed p ->
+      List.filter (fun r -> String.starts_with ~prefix:p (name_of r)) rows
 
 let having = function
   | All -> ""

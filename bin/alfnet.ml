@@ -1252,7 +1252,8 @@ let pp_serve_report ppf r =
     r.sv_backend r.sv_sessions r.sv_adus r.sv_payload r.sv_shards r.sv_domains
     r.sv_wall_s r.sv_adus_per_s r.sv_mbps r.sv_peak_live r.sv_done
     r.sv_delivered r.sv_gone r.sv_dropped r.sv_steady_allocs
-    r.sv_heap_words_per_adu r.sv_fallback_allocs r.sv_max_ahead r.sv_counter_sum_ok r.sv_finished
+    r.sv_heap_words_per_adu r.sv_fallback_allocs r.sv_max_ahead
+    r.sv_counter_sum_ok r.sv_finished
 
 (* Cross-check the Obs wiring: the per-shard registry counters, summed,
    must reproduce the engine's programmatic totals. *)

@@ -185,8 +185,10 @@ let parse buf =
   let indices () = List.init f.count (index f buf) in
   if tag = tag_nack then
     Some
-      (Nack { stream = f.stream; have_below = f.have_below; indices = indices () })
-  else if tag = tag_close then Some (Close { stream = f.stream; total = f.total })
+      (Nack
+         { stream = f.stream; have_below = f.have_below; indices = indices () })
+  else if tag = tag_close then
+    Some (Close { stream = f.stream; total = f.total })
   else if tag = tag_done then Some (Done { stream = f.stream })
   else if tag = tag_gone then
     Some (Gone { stream = f.stream; indices = indices () })

@@ -123,8 +123,10 @@ let read_fragment f buf ~len =
   if len < fragment_header_size then Some Short
   else if Bytebuf.get_uint8 buf 0 <> frag_magic then Some Bad_magic
   else begin
-    let frag_idx = Bytebuf.get_uint16_be buf 7 and nfrags = Bytebuf.get_uint16_be buf 9 in
-    let total_len = Bytebuf.get_uint32_be buf 11 and frag_off = Bytebuf.get_uint32_be buf 15 in
+    let frag_idx = Bytebuf.get_uint16_be buf 7 in
+    let nfrags = Bytebuf.get_uint16_be buf 9 in
+    let total_len = Bytebuf.get_uint32_be buf 11 in
+    let frag_off = Bytebuf.get_uint32_be buf 15 in
     let chunk_len = len - fragment_header_size in
     if nfrags = 0 || frag_idx >= nfrags then Some Inconsistent
     else if frag_off + chunk_len > total_len then Some Overrun

@@ -735,7 +735,14 @@ let run_fused ?dst plan input =
     | l -> (kernel_checksums l (run_kernel l plan input dst), [])
   in
   let r =
-    { output = dst; checksums; tags; passes = 1; bytes_touched = 2 * n; compiled = true }
+    {
+      output = dst;
+      checksums;
+      tags;
+      passes = 1;
+      bytes_touched = 2 * n;
+      compiled = true;
+    }
   in
   record_result handles_compiled ~t0 r;
   r

@@ -18,7 +18,8 @@ let[@inline] hash ~peer ~peer_port ~stream =
        (mul (of_int peer) 0x9E3779B97F4A7C15L)
        (add (mul (of_int peer_port) 0xC2B2AE3D27D4EB4FL) (of_int stream)))
 
-let hash_int ~peer ~peer_port ~stream = Int64.to_int (hash ~peer ~peer_port ~stream)
+let hash_int ~peer ~peer_port ~stream =
+  Int64.to_int (hash ~peer ~peer_port ~stream)
 
 let shard_of ~shards ~peer ~peer_port ~stream =
   if shards <= 0 then invalid_arg "Demux.shard_of: shards must be positive";

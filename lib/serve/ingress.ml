@@ -131,8 +131,10 @@ let check limits buf =
             || (nfrags = 1 && (frag_off <> 0 || chunk <> total_len))
           then Some Frag_header
           else None
-    | b0 when b0 = Ctl.tag_close -> if body = 7 then None else Some Ctl_malformed
-    | b0 when b0 = Ctl.tag_done -> if body = 3 then None else Some Ctl_malformed
+    | b0 when b0 = Ctl.tag_close ->
+        if body = 7 then None else Some Ctl_malformed
+    | b0 when b0 = Ctl.tag_done ->
+        if body = 3 then None else Some Ctl_malformed
     | b0 when b0 = Ctl.tag_nack ->
         if body >= 9 && body = 9 + (4 * Bytebuf.get_uint16_be buf 7) then None
         else Some Ctl_malformed

@@ -70,7 +70,9 @@ val check : limits -> Bytebuf.t -> reason option
     is not verified here (that is O(len) and happens on the owning
     shard); its {e length} accounting is. *)
 
-type verdict = Accept of int  (** The stream id at bytes 1–2. *) | Reject of reason
+type verdict =
+  | Accept of int  (** The stream id at bytes 1–2. *)
+  | Reject of reason
 
 val validate : limits -> Bytebuf.t -> verdict
 (** {!check} as a verdict carrying the stream id. Allocates the

@@ -186,7 +186,9 @@ let create ~io cfg =
   in
   if dgram_size > io.Dgram.max_payload then
     invalid_arg "Loadgen.create: payload_len exceeds the substrate MTU";
-  let trailer = match cfg.integrity with Some _ -> Ctl.trailer_size | None -> 0 in
+  let trailer =
+    match cfg.integrity with Some _ -> Ctl.trailer_size | None -> 0
+  in
   let scratch = Bytebuf.create (max dgram_size 64) in
   let t =
     {
@@ -194,7 +196,8 @@ let create ~io cfg =
       io;
       sec = Option.map Secure.Record.clone cfg.secure;
       scratch;
-      data_view = Bytebuf.take scratch (dgram_size - Ctl.trailer_size + trailer);
+      data_view =
+        Bytebuf.take scratch (dgram_size - Ctl.trailer_size + trailer);
       close_view = Bytebuf.take scratch (7 + trailer);
       ctl = Ctl.fields ();
       done_flags = Bytes.make cfg.sessions '\000';

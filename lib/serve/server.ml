@@ -1181,5 +1181,6 @@ let session_view t ~peer ~peer_port ~stream =
 
 let max_ahead_load t =
   Array.fold_left
-    (fun acc sh -> Table.fold (fun s _ m -> max m (ahead_load s)) sh.sessions acc)
+    (fun acc sh ->
+      Table.fold (fun s _ m -> max m (ahead_load s)) sh.sessions acc)
     0 t.shards

@@ -883,7 +883,8 @@ let test_drops_allocate_nothing () =
           (Ingress.reason_name reason) per_drop)
     kinds;
   check_drop_law server;
-  Alcotest.(check int) "nothing accepted" 0 (Server.totals server).Server.accepted;
+  Alcotest.(check int) "nothing accepted" 0
+    (Server.totals server).Server.accepted;
   Server.stop server
 
 (* The serve engine's stage 2, [Checksum Crc32; Deliver_copy], lowers to
@@ -894,7 +895,9 @@ let prop_copy_crc32_lowering =
   QCheck.Test.make ~name:"copy+crc32 lowering = layered" ~count:300
     QCheck.(triple (int_bound 2100) (int_bound 7) (int_bound 7))
     (fun (n, soff, doff) ->
-      let src_store = Bytebuf.init (n + 8) (fun i -> Char.chr ((i * 37 + n) land 0xff)) in
+      let src_store =
+        Bytebuf.init (n + 8) (fun i -> Char.chr (((i * 37) + n) land 0xff))
+      in
       let input = Bytebuf.sub src_store ~pos:soff ~len:n in
       List.for_all
         (fun plan ->
