@@ -321,6 +321,7 @@ let count_drop sh reason =
 
 (* ---- session bookkeeping (all under the owning shard's lock) ---- *)
 
+(* Under the shard lock only: the probe is the shard's. *)
 let find sh ~peer ~peer_port ~stream =
   let p = sh.probe in
   p.k_peer <- peer;
@@ -1142,11 +1143,16 @@ let pool_outstanding t =
 let shard_of_key t ~peer ~peer_port ~stream =
   Demux.shard_of ~shards:t.config.shards ~peer ~peer_port ~stream
 
+(* Observation runs on any thread, so it probes with a record of its own. *)
+let lookup sh ~peer ~peer_port ~stream =
+  Table.find_opt sh.sessions
+    { nil_session with k_peer = peer; k_port = peer_port; k_stream = stream }
+
 let locate t ~peer ~peer_port ~stream =
   let found = ref None in
   Array.iter
     (fun sh ->
-      if !found = None && find sh ~peer ~peer_port ~stream != nil_session then
+      if !found = None && lookup sh ~peer ~peer_port ~stream <> None then
         found := Some sh.sid)
     t.shards;
   !found
@@ -1166,18 +1172,18 @@ type session_view = {
 
 let session_view t ~peer ~peer_port ~stream =
   let sid = shard_of_key t ~peer ~peer_port ~stream in
-  let s = find t.shards.(sid) ~peer ~peer_port ~stream in
-  if s == nil_session then None
-  else
-    Some
-      {
-        v_frontier = Rx.frontier s.rx;
-        v_total = Rx.total s.rx;
-        v_delivered = Rx.delivered s.rx;
-        v_gone = Rx.gone s.rx;
-        v_completed = s.completed;
-        v_ahead_load = ahead_load s;
-      }
+  match lookup t.shards.(sid) ~peer ~peer_port ~stream with
+  | None -> None
+  | Some s ->
+      Some
+        {
+          v_frontier = Rx.frontier s.rx;
+          v_total = Rx.total s.rx;
+          v_delivered = Rx.delivered s.rx;
+          v_gone = Rx.gone s.rx;
+          v_completed = s.completed;
+          v_ahead_load = ahead_load s;
+        }
 
 let max_ahead_load t =
   Array.fold_left
